@@ -41,12 +41,6 @@ func (m *Machine) AddGuest(name string, flavor kernel.Flavor) (*Guest, error) {
 		return nil, err
 	}
 	k := kernel.New(name, flavor, m.Env, vm.Space, m.cfg.GuestRAM)
-	// Each guest VM gets its own event lane: its tasks' calendar entries
-	// live in a per-machine partition merged deterministically with every
-	// other lane (sim.Env), so scale-out runs schedule many guests without
-	// one global calendar hot-spot — and in exactly the order the seed's
-	// flat calendar would have produced.
-	k.Lane = m.Env.AllocLane()
 	k.WakePenalty = perf.CostVMExitIRQ
 	grants, err := cvd.NewGuestGrantTable(m.HV, vm, k)
 	if err != nil {
@@ -81,18 +75,9 @@ func (g *Guest) Paravirtualize(paths ...string) error {
 		fe, be, err := cvd.Connect(cvd.Config{
 			HV: g.M.HV, GuestVM: g.VM, GuestK: g.K,
 			DriverVM: sh.VM, DriverK: sh.K,
-			DevicePath: path, Mode: g.M.cfg.Mode,
-			Specs: specs, Grants: g.Grants,
-			PollWindow:      g.M.cfg.PollWindow,
-			RequestDeadline: g.M.cfg.RequestDeadline,
-			MapCache:        g.M.cfg.MapCache,
-			MapThreshold:    g.M.cfg.MapThreshold,
-			CoalesceWindow:  g.M.cfg.CoalesceWindow,
-			BatchSize:       g.M.cfg.BatchSize,
-			TLB:             g.M.cfg.TLB,
-			GrantBatch:      g.M.cfg.GrantBatch,
-			Admission:       g.M.cfg.Admission,
-			Pool:            sh.Pool,
+			DevicePath: path, Specs: specs, Grants: g.Grants,
+			Pool:      sh.Pool,
+			Transport: g.M.cfg.transport(),
 		})
 		if err != nil {
 			return err

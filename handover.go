@@ -182,12 +182,9 @@ func (m *Machine) handoverShard(shard int) error {
 			}
 			perf.Charge(m.Env, perf.CostHandoverSwitch)
 			for _, cp := range preps {
-				be, err := cvd.CompleteHandover(cp.fe, cp.prep, newVM, newK, cp.path)
+				be, err := cvd.CompleteHandover(cp.fe, cp.prep, newVM, newK, cp.path, succPool)
 				if err != nil {
 					return fmt.Errorf("paradice: handover switch cannot roll back: %w", err)
-				}
-				if succPool != nil {
-					succPool.Join(be)
 				}
 				cp.g.Backends[cp.path] = be
 				cp.fe.SetDegraded(false)

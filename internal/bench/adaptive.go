@@ -203,7 +203,7 @@ func RunAdaptive(quick bool) ([]Row, error) {
 			Value: outcomes["adaptive"][low].p50 / outcomes["interrupts"][low].p50, Unit: "ratio"},
 		Row{Series: "excess-spin", X: "low-load",
 			Value: outcomes["adaptive"][low].spinPerOp - outcomes["interrupts"][low].spinPerOp,
-			Unit: "µs/op"},
+			Unit:  "µs/op"},
 	)
 	return rows, nil
 }

@@ -40,31 +40,6 @@ func opName(op uint8) string {
 	return "?"
 }
 
-// Mode selects the CVD transport: inter-VM interrupts (default), the
-// polling mode for high-performance applications (§5.1), in which both
-// sides poll the shared page for 200 µs before going to sleep to wait for
-// interrupts, or the adaptive mode, which switches NAPI-style between the
-// two per channel based on the observed arrival rate — poll under load,
-// re-arm interrupts when idle.
-type Mode int
-
-// Transport modes.
-const (
-	Interrupts Mode = iota
-	Polling
-	Adaptive
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Polling:
-		return "polling"
-	case Adaptive:
-		return "adaptive"
-	}
-	return "interrupts"
-}
-
 // Backend is the CVD backend serving one guest VM's channel for one device
 // file. A dispatcher task pops posted operations in FIFO order and invokes
 // a handler thread per operation, marking the thread so the kernel's
@@ -75,10 +50,12 @@ type Backend struct {
 	guestVM  *hv.VM
 	driverK  *kernel.Kernel
 	node     *kernel.DeviceNode
-	mode     Mode
-	window   sim.Duration // polling window before sleeping (§5.1: 200 µs)
 	ring     page
 	proc     *kernel.Process
+	// transport is the channel's policy, copied from the frontend at bind
+	// time: Mode and PollWindow drive the dispatcher's sleep, BatchSize and
+	// CoalesceWindow its completion batching.
+	transport Transport
 
 	doorbell *sim.Event
 	files    map[uint16]*kernel.File
@@ -124,14 +101,12 @@ type Backend struct {
 	notifyGate func() bool
 
 	// Completion batching (mirror of the frontend's doorbell batching).
-	// With batchSize and batchWait set, interrupt-path completions
-	// accumulate and share one response IRQ, flushed by the same
-	// size+deadline policy; respGen invalidates an armed deadline timer
+	// With the transport's BatchSize and CoalesceWindow set, interrupt-path
+	// completions accumulate and share one response IRQ, flushed by the
+	// same size+deadline policy; respGen invalidates an armed deadline timer
 	// once a size-triggered flush has run. Heartbeat acks and the polled
 	// path bypass it — watchdog latency and spinning requesters are never
 	// delayed by the batch window.
-	batchSize   int
-	batchWait   sim.Duration
 	respPending int
 	respGen     uint64
 
@@ -245,39 +220,29 @@ func (r *remoteConduit) UnmapPage(va mem.GuestVirt) error {
 	return nil
 }
 
-func newBackend(h *hv.Hypervisor, driverVM, guestVM *hv.VM, driverK *kernel.Kernel,
-	node *kernel.DeviceNode, ringGPA mem.GuestPhys, mode Mode, window sim.Duration,
-	vecToBackend, vecResp, vecNotif int) (*Backend, error) {
-	proc, err := driverK.NewProcess("cvd-backend-" + guestVM.Name)
-	if err != nil {
-		return nil, err
-	}
-	return newBackendWith(proc, h, driverVM, guestVM, driverK, node,
-		ringGPA, mode, window, vecToBackend, vecResp, vecNotif), nil
-}
-
-// newBackendWith builds a backend around an already-created kernel process —
-// the infallible half of newBackend. A planned handover pre-allocates the
-// process during prepare so its commit, which runs after the ring's epoch
-// word has been bumped past the predecessor, has no failure path left.
-func newBackendWith(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *hv.VM,
-	driverK *kernel.Kernel, node *kernel.DeviceNode, ringGPA mem.GuestPhys,
-	mode Mode, window sim.Duration, vecToBackend, vecResp, vecNotif int) *Backend {
+// newBackend builds a backend for fe's channel around an already-created
+// kernel process, with the frontend's transport policy, and starts its
+// dispatcher. It cannot fail: process creation is the fallible part of
+// backend construction, and a planned handover does it during prepare so its
+// commit, which runs after the ring's epoch word has been bumped past the
+// predecessor, has no failure path left. Only Frontend.bind calls this.
+func newBackend(proc *kernel.Process, fe *Frontend, driverVM *hv.VM, driverK *kernel.Kernel,
+	node *kernel.DeviceNode, ringGPA mem.GuestPhys, vecToBackend int) *Backend {
+	guestVM := fe.guestVM
 	b := &Backend{
-		hv:       h,
-		driverVM: driverVM,
-		guestVM:  guestVM,
-		driverK:  driverK,
-		node:     node,
-		mode:     mode,
-		window:   window,
-		ring:     page{acc: &grant.GuestAccessor{Space: driverVM.Space, GPA: ringGPA}},
-		proc:     proc,
-		doorbell: driverK.Env.NewEvent("cvd-doorbell-" + guestVM.Name),
-		files:    make(map[uint16]*kernel.File),
-		vmas:     make(map[uint16]map[mem.GuestVirt]*kernel.VMA),
-		vecResp:  vecResp,
-		vecNotif: vecNotif,
+		hv:        fe.hv,
+		driverVM:  driverVM,
+		guestVM:   guestVM,
+		driverK:   driverK,
+		node:      node,
+		ring:      page{acc: &grant.GuestAccessor{Space: driverVM.Space, GPA: ringGPA}},
+		proc:      proc,
+		transport: fe.transport,
+		doorbell:  driverK.Env.NewEvent("cvd-doorbell-" + guestVM.Name),
+		files:     make(map[uint16]*kernel.File),
+		vmas:      make(map[uint16]map[mem.GuestVirt]*kernel.VMA),
+		vecResp:   fe.vecResp,
+		vecNotif:  fe.vecNotif,
 	}
 	// A successor backend inherits the ring's heartbeat state: starting from
 	// the last acked sequence means a beat posted while the driver VM was
@@ -299,7 +264,7 @@ func newBackendWith(proc *kernel.Process, h *hv.Hypervisor, driverVM, guestVM *h
 	// The "@<driver>" suffix attributes the proc to its driver-VM shard: a
 	// sharded machine runs one supervisor per shard, each consuming only the
 	// panics of its own backends (supervise.Config.OwnsProc).
-	driverK.Env.SpawnLane(driverK.Lane, "cvd-dispatch-"+guestVM.Name+"@"+driverK.Name, b.dispatch)
+	driverK.Env.Spawn("cvd-dispatch-"+guestVM.Name+"@"+driverK.Name, b.dispatch)
 	return b
 }
 
@@ -380,10 +345,10 @@ func (b *Backend) dispatch(p *sim.Proc) {
 		if _, ok := b.oldestPosted(); ok {
 			continue
 		}
-		if b.pollStanceNow() && b.window > 0 {
+		if b.transport.pollStance(b.stancePoll) && b.transport.PollWindow > 0 {
 			b.ring.writeU32(hdrBackendPoll, 1)
 			spinStart := b.hv.Env.Now()
-			woken := p.WaitTimeout(b.doorbell, b.window)
+			woken := p.WaitTimeout(b.doorbell, b.transport.PollWindow)
 			b.SpinTime += b.hv.Env.Now().Sub(spinStart)
 			b.ring.writeU32(hdrBackendPoll, 0)
 			if woken {
@@ -401,19 +366,12 @@ func (b *Backend) dispatch(p *sim.Proc) {
 	}
 }
 
-// pollStanceNow reports whether the dispatcher should spin its poll window
-// before sleeping: always in static Polling, and in Adaptive while the
-// observed arrival rate holds the backend in poll stance.
-func (b *Backend) pollStanceNow() bool {
-	return b.mode == Polling || (b.mode == Adaptive && b.stancePoll)
-}
-
 // observeArrival feeds one request pickup into the backend's adaptive EWMA
 // and flips its stance when the average crosses perf.AdaptivePollGap — the
 // dispatcher-side half of the NAPI-style switch. Bookkeeping only: it reads
 // the clock, never advances it.
 func (b *Backend) observeArrival() {
-	if b.mode != Adaptive {
+	if b.transport.Mode != Adaptive {
 		return
 	}
 	now := b.hv.Env.Now()
@@ -581,7 +539,7 @@ func (b *Backend) oldestPosted() (int, bool) {
 // worker pool attached (Config.Workers > 0) the dispatcher enqueues to the
 // pool instead and a bounded worker calls handle directly.
 func (b *Backend) spawnHandler(req request) {
-	b.driverK.Env.SpawnLane(b.driverK.Lane,
+	b.driverK.Env.Spawn(
 		fmt.Sprintf("cvd-op-%s-%d@%s", b.guestVM.Name, req.seq, b.driverK.Name),
 		func(sp *sim.Proc) {
 			b.handle(sp, req)
@@ -673,15 +631,15 @@ func (b *Backend) complete(rid uint64, hb bool) {
 		})
 		return
 	}
-	if b.batchSize > 0 && b.batchWait > 0 && !hb {
+	if b.transport.BatchSize > 0 && b.transport.CoalesceWindow > 0 && !hb {
 		b.respPending++
-		if b.respPending >= b.batchSize {
+		if b.respPending >= b.transport.BatchSize {
 			b.flushResp()
 			return
 		}
 		if b.respPending == 1 {
 			gen := b.respGen
-			b.hv.Env.After(b.batchWait, func() {
+			b.hv.Env.After(b.transport.CoalesceWindow, func() {
 				if b.respGen != gen {
 					return // a size-triggered flush already covered this window
 				}

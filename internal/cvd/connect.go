@@ -8,12 +8,11 @@ import (
 	"paradice/internal/hv"
 	"paradice/internal/ioctlan"
 	"paradice/internal/kernel"
-	"paradice/internal/perf"
-	"paradice/internal/sim"
+	"paradice/internal/mem"
 )
 
 // Config describes one paravirtualized device file: which guest sees it,
-// which driver VM device backs it, and how the channel behaves.
+// which driver VM device backs it, and the channel's transport policy.
 type Config struct {
 	HV       *hv.Hypervisor
 	GuestVM  *hv.VM
@@ -21,102 +20,33 @@ type Config struct {
 	DriverVM *hv.VM
 	DriverK  *kernel.Kernel
 
-	// DevicePath is the real device file in the driver VM's devfs.
+	// DevicePath is the real device file in the driver VM's devfs; the
+	// guest's virtual device file mirrors it.
 	DevicePath string
-	// GuestPath is the virtual device file to create in the guest
-	// (defaults to DevicePath, mirroring the real file).
-	GuestPath string
-	// Mode selects interrupts or polling transport.
-	Mode Mode
 	// Specs is the ioctl analyzer's output for the device's driver; ioctl
 	// commands without a spec fall back to the command-number macros.
 	Specs map[devfile.IoctlCmd]*ioctlan.CmdSpec
 	// Grants is the guest's grant table, shared by all frontends in the
 	// guest. If nil, a table page is allocated and registered.
 	Grants *grant.Table
-	// PollWindow is how long each side busy-polls the shared page before
-	// sleeping, in polling mode. Zero selects the paper's empirically
-	// chosen 200 µs (§5.1); the ablation experiment sweeps it.
-	PollWindow sim.Duration
-	// RequestDeadline bounds every forwarded operation's wait for its
-	// response; a request that outlives it fails with ETIMEDOUT. Zero means
-	// wait forever (the paper's behavior). Driver-VM supervision sets this
-	// so a guest blocked behind a dead backend unblocks on its own.
-	RequestDeadline sim.Duration
-	// MapCache enables the bulk-transfer fast path: read/write data buffers
-	// of at least MapThreshold bytes get long-lived bulk grants, and the
-	// backend maps them into the driver VM once (validated through the grant
-	// table) and reuses the mapping across requests to the same file. Cached
-	// mappings are invalidated deterministically on grant revoke, file
-	// release, reconnect, and driver-VM restart; misusing one faults exactly
-	// as a fresh map would. Off by default — the paper's per-request
-	// assisted-copy behavior.
-	MapCache bool
-	// MapThreshold is the minimum transfer size, in bytes, routed through
-	// the map cache; smaller transfers keep the per-request assisted copy,
-	// which the cost model says wins below ~2 KB at small reuse counts (see
-	// the "Bulk transfer" section of EXPERIMENTS.md). Zero selects
-	// DefaultMapThreshold. Ignored unless MapCache is set.
-	MapThreshold int
-	// CoalesceWindow batches doorbells in interrupt mode: request slots
-	// posted within the window of the first share its inter-VM IRQ — one
-	// CostInterVMIRQ per batch instead of per post — at the price of up to
-	// the window in added latency per request. Zero disables coalescing.
-	// The polling path and watchdog heartbeats are unaffected.
-	CoalesceWindow sim.Duration
-	// BatchSize turns the coalescing window into a size+deadline batcher:
-	// the frontend flushes a multi-entry submission descriptor as soon as
-	// BatchSize slots are pending (instead of waiting out the window), and
-	// the backend mirrors it on the completion side — up to BatchSize
-	// responses share one response IRQ, flushed after at most
-	// CoalesceWindow. Requires CoalesceWindow > 0 to have any effect; zero
-	// keeps pure deadline-driven flushing (the PR-4 behavior).
-	BatchSize int
-	// TLB arms the hypervisor's software TLB (internal/hv/tlb.go): per-VM
-	// caches of guest-VA→system-PA translations consulted by the assisted
-	// copy and buffer-mapping paths before the full two-level walk of §5.2,
-	// invalidated deterministically on page-table edits, EPT changes, grant
-	// revocation, and driver-VM restart. Off by default — every operation
-	// pays full per-page walks, byte-identical to the seed.
-	TLB bool
-	// Admission maps a QoS class (kernel.Task.QoS) to the ring occupancy at
-	// which that class stops being admitted: once the ring holds that many
-	// in-flight requests, further requests from the class fail fast with
-	// EAGAIN instead of queueing. Classes absent from the map are admitted
-	// until the ring itself is full (EBUSY). nil disables admission control
-	// — the seed behavior.
-	Admission map[uint8]int
-	// GrantBatch batches grant hypercalls: the frontend declares a file
-	// operation's whole grant vector in one hypervisor crossing (the first
-	// entry costs CostGrantDeclare, each further entry CostGrantEntry), and
-	// the hypervisor's grant-validation cache primed by that crossing lets
-	// the backend's memory operations validate against the cached vector at
-	// CostTLBHit instead of re-scanning the shared page. Off by default.
-	GrantBatch bool
 	// Pool, when non-nil, is the driver VM's shared worker pool (pool.go):
 	// this channel joins it at connect time, and the dispatcher enqueues
 	// operations there instead of spawning one handler thread per operation.
 	// nil keeps thread-per-op — the seed behavior.
 	Pool *Pool
-}
 
-// DefaultMapThreshold is the transfer size at which the grant-map cache
-// starts paying off against per-request assisted copies, derived from the
-// cost model (CostMapPage amortization vs CostCopyPerPage/CostCopyPerKB at
-// small reuse counts).
-const DefaultMapThreshold = 2048
+	Transport
+}
 
 // Connect builds a CVD channel: a shared ring page between the guest and
 // driver VMs, interrupt vectors in both directions, the backend dispatcher
 // in the driver VM, and a virtual device file in the guest's devfs backed by
 // the frontend. Returns the frontend and backend halves.
 func Connect(cfg Config) (*Frontend, *Backend, error) {
-	if cfg.GuestPath == "" {
-		cfg.GuestPath = cfg.DevicePath
-	}
-	node, ok := cfg.DriverK.LookupDevice(cfg.DevicePath)
+	path := cfg.DevicePath
+	node, ok := cfg.DriverK.LookupDevice(path)
 	if !ok {
-		return nil, nil, fmt.Errorf("cvd: no device %s in %s", cfg.DevicePath, cfg.DriverK.Name)
+		return nil, nil, fmt.Errorf("cvd: no device %s in %s", path, cfg.DriverK.Name)
 	}
 
 	// The ring page lives in guest memory and is shared into the driver VM.
@@ -131,86 +61,76 @@ func Connect(cfg Config) (*Frontend, *Backend, error) {
 
 	grants := cfg.Grants
 	if grants == nil {
-		grantGPA, err := cfg.GuestK.AllocFrame()
-		if err != nil {
+		if grants, err = NewGuestGrantTable(cfg.HV, cfg.GuestVM, cfg.GuestK); err != nil {
 			return nil, nil, err
 		}
-		if err := cfg.HV.RegisterGrantTable(cfg.GuestVM, grantGPA); err != nil {
-			return nil, nil, err
-		}
-		grants = grant.NewTable(&grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: grantGPA})
-	}
-	if cfg.TLB {
-		cfg.HV.EnableTLB()
 	}
 	if cfg.GrantBatch {
 		// Idempotent per (VM, table): guests that paravirtualize several
 		// devices share one table and subscribe once.
 		cfg.HV.EnableGrantCache(cfg.GuestVM, grants)
 	}
-
-	vecToBackend := cfg.DriverVM.AllocVector()
-	vecResp := cfg.GuestVM.AllocVector()
-	vecNotif := cfg.GuestVM.AllocVector()
-	if cfg.PollWindow == 0 {
-		cfg.PollWindow = perf.PollWindow
-	}
-
-	be, err := newBackend(cfg.HV, cfg.DriverVM, cfg.GuestVM, cfg.DriverK, node,
-		beGPA, cfg.Mode, cfg.PollWindow, vecToBackend, vecResp, vecNotif)
+	proc, err := cfg.DriverK.NewProcess("cvd-backend-" + cfg.GuestVM.Name)
 	if err != nil {
 		return nil, nil, err
 	}
-	be.batchSize = cfg.BatchSize
-	be.batchWait = cfg.CoalesceWindow
-	if cfg.Pool != nil {
-		cfg.Pool.Join(be)
-	}
 
 	fe := &Frontend{
-		hv:           cfg.HV,
-		guestVM:      cfg.GuestVM,
-		driverVM:     cfg.DriverVM,
-		guestK:       cfg.GuestK,
-		mode:         cfg.Mode,
-		window:       cfg.PollWindow,
-		ring:         page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
-		grants:       grants,
-		specs:        cfg.Specs,
-		ringGPA:      ringGPA,
-		vecToBackend: vecToBackend,
-		vecResp:      vecResp,
-		vecNotif:     vecNotif,
-		pollWQ:       cfg.GuestK.NewWaitQueue("cvd-poll-" + cfg.GuestPath),
-		backend:      be,
-		deadline:     cfg.RequestDeadline,
-		coalesce:     cfg.CoalesceWindow,
-		batchSize:    cfg.BatchSize,
-		grantBatch:   cfg.GrantBatch,
-		hbEvent:      cfg.HV.Env.NewEvent("cvd-hb-" + cfg.GuestPath),
-		drainEvent:   cfg.HV.Env.NewEvent("cvd-drain-" + cfg.GuestPath),
-		path:         cfg.GuestPath,
-		vm:           cfg.GuestVM.Name,
-		m:            newFeMetricNames(cfg.GuestVM.Name, cfg.GuestPath),
+		hv:         cfg.HV,
+		guestVM:    cfg.GuestVM,
+		guestK:     cfg.GuestK,
+		transport:  cfg.Transport.resolved(),
+		ring:       page{acc: &grant.GuestAccessor{Space: cfg.GuestVM.Space, GPA: ringGPA}},
+		grants:     grants,
+		specs:      cfg.Specs,
+		ringGPA:    ringGPA,
+		vecResp:    cfg.GuestVM.AllocVector(),
+		vecNotif:   cfg.GuestVM.AllocVector(),
+		pollWQ:     cfg.GuestK.NewWaitQueue("cvd-poll-" + path),
+		hbEvent:    cfg.HV.Env.NewEvent("cvd-hb-" + path),
+		drainEvent: cfg.HV.Env.NewEvent("cvd-drain-" + path),
+		path:       path,
+		vm:         cfg.GuestVM.Name,
+		m:          newFeMetricNames(cfg.GuestVM.Name, path),
 	}
 	for i := range fe.respEvents {
-		fe.respEvents[i] = cfg.HV.Env.NewEvent(fmt.Sprintf("cvd-resp-%s-%d", cfg.GuestPath, i))
+		fe.respEvents[i] = cfg.HV.Env.NewEvent(fmt.Sprintf("cvd-resp-%s-%d", path, i))
 	}
 	fe.SetAdmission(cfg.Admission)
-	if cfg.MapCache {
-		fe.mapCache = true
-		fe.mapThreshold = cfg.MapThreshold
-		if fe.mapThreshold <= 0 {
-			fe.mapThreshold = DefaultMapThreshold
-		}
+	if fe.transport.MapCache {
 		fe.bulk = make(map[bulkKey]bulkGrant)
-		be.enableMapCache(grants)
+	}
+	be := fe.bind(proc, cfg.DriverVM, cfg.DriverK, node, beGPA, cfg.Pool)
+	cfg.GuestVM.RegisterISR(fe.vecResp, fe.scanDone)
+	cfg.GuestVM.RegisterISR(fe.vecNotif, fe.handleNotifs)
+	cfg.GuestK.RegisterDevice(path, fe, fe)
+	return fe, be, nil
+}
+
+// bind builds a backend for fe's channel in the given driver VM and makes
+// it the channel's backend. It is the one place a backend is attached to a
+// frontend — Connect, Reconnect and CompleteHandover all come through here —
+// so every backend the channel ever gets runs the frontend's Transport: the
+// same transport mode and poll window, the same completion batching, a map
+// cache when the channel has one, and the driver VM's worker pool (nil for
+// thread-per-op).
+func (fe *Frontend) bind(proc *kernel.Process, driverVM *hv.VM, driverK *kernel.Kernel,
+	node *kernel.DeviceNode, ringGPA mem.GuestPhys, pool *Pool) *Backend {
+	vecToBackend := driverVM.AllocVector()
+	be := newBackend(proc, fe, driverVM, driverK, node, ringGPA, vecToBackend)
+	if pool != nil {
+		pool.Join(be)
+	}
+	if fe.transport.MapCache {
+		// Every backend starts with an empty map cache subscribed to the
+		// guest's grant table. After a Reconnect the frontend's live bulk
+		// grants miss once and re-map against the new driver VM;
+		// CompleteHandover seeds its successor's cache from the prep.
+		be.enableMapCache(fe.grants)
 	}
 	be.frontendDoorbell = fe.scanDone
-	cfg.GuestVM.RegisterISR(vecResp, fe.scanDone)
-	cfg.GuestVM.RegisterISR(vecNotif, fe.handleNotifs)
-	cfg.GuestK.RegisterDevice(cfg.GuestPath, fe, fe)
-	return fe, be, nil
+	fe.driverVM, fe.vecToBackend, fe.backend = driverVM, vecToBackend, be
+	return be
 }
 
 // NewGuestGrantTable allocates and registers a grant-table page for a

@@ -234,8 +234,9 @@ func newRig(t testing.TB, mode Mode, guestFlavor kernel.Flavor, opts ...func(*Co
 	cfg := Config{
 		HV: h, GuestVM: guestVM, GuestK: guestK,
 		DriverVM: driverVM, DriverK: driverK,
-		DevicePath: "/dev/testdev", Mode: mode,
-		Specs: map[devfile.IoctlCmd]*ioctlan.CmdSpec{tdNested: spec},
+		DevicePath: "/dev/testdev",
+		Specs:      map[devfile.IoctlCmd]*ioctlan.CmdSpec{tdNested: spec},
+		Transport:  Transport{Mode: mode},
 	}
 	for _, opt := range opts {
 		opt(&cfg)

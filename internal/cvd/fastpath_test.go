@@ -219,7 +219,7 @@ func TestMapCacheColdAfterReconnect(t *testing.T) {
 	driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
 	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
-	be2, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev")
+	be2, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCoalescedFlushAcrossHandoverDrainIsDropped(t *testing.T) {
 		if n := r.fe.ring.readU32(hdrSubCount); n != 0 {
 			t.Errorf("hdrSubCount = %d mid-switch, want 0 (no descriptor scribbled)", n)
 		}
-		be2, err = CompleteHandover(r.fe, prep, driverVM2, driverK2, "/dev/testdev")
+		be2, err = CompleteHandover(r.fe, prep, driverVM2, driverK2, "/dev/testdev", nil)
 		if err != nil {
 			t.Error(err)
 			return

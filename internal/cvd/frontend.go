@@ -25,11 +25,14 @@ type Frontend struct {
 	guestVM  *hv.VM
 	driverVM *hv.VM
 	guestK   *kernel.Kernel
-	mode     Mode
-	window   sim.Duration
 	ring     page
 	grants   *grant.Table
 	specs    map[devfile.IoctlCmd]*ioctlan.CmdSpec
+
+	// transport is the channel's resolved policy (defaults filled in). Every
+	// backend the channel gets is built from it (bind). SetDeadline and
+	// SetAdmission rewrite its RequestDeadline and Admission in place.
+	transport Transport
 
 	respEvents   [slotCount]*sim.Event
 	nextFileID   uint16
@@ -42,14 +45,9 @@ type Frontend struct {
 	fasyncFiles  []*kernel.File
 	backend      *Backend
 
-	// deadline bounds how long a forwarded operation may wait for its
-	// response (0 = forever, the pre-supervision behavior). A request that
-	// outlives it fails with ETIMEDOUT and its slot is abandoned — reclaimed
-	// when a late response eventually lands or a Reconnect sweeps the ring.
-	deadline sim.Duration
-	// abandoned marks slots whose issuer timed out and left; the backend
-	// may still be executing them, so they are not freed until the response
-	// (or a Reconnect) arrives.
+	// abandoned marks slots whose issuer outlived the request deadline and
+	// left with ETIMEDOUT; the backend may still be executing them, so they
+	// are not freed until the response (or a Reconnect) arrives.
 	abandoned [slotCount]bool
 	// degraded fails every operation fast with ENODEV: the supervisor
 	// exhausted its restart budget on this device and gave up (§8 recovery's
@@ -69,30 +67,26 @@ type Frontend struct {
 	drainEvent *sim.Event
 	drainBound sim.Duration
 
-	// Bulk-transfer fast path (grant-map cache). When enabled, read/write
-	// data buffers of at least mapThreshold bytes get a long-lived bulk
-	// grant (one per file and direction) kept alive across requests, and the
-	// requests carry reqFlagMapHint so the backend serves them through its
-	// grant-map cache. bulk tracks the live bulk grants; they are revoked
-	// when the buffer changes and when the file is released — each
-	// revocation tears down the backend's cached mapping in the same
+	// Bulk-transfer fast path (grant-map cache, Transport.MapCache): data
+	// buffers of reads and writes of at least MapThreshold bytes get a
+	// long-lived bulk grant (one per file and direction) kept alive across
+	// requests, and the requests carry reqFlagMapHint so the backend serves
+	// them through its grant-map cache. bulk tracks the live bulk grants; they
+	// are revoked when the buffer changes and when the file is released —
+	// each revocation tears down the backend's cached mapping in the same
 	// instant (grant.Table.OnRevoke).
-	mapCache     bool
-	mapThreshold int
-	bulk         map[bulkKey]bulkGrant
+	bulk map[bulkKey]bulkGrant
 
-	// Doorbell batching. With coalesce > 0 (interrupt-stance posts only),
-	// posts accumulate in a pending set sharing one inter-VM IRQ, flushed by
-	// a size+deadline policy: the first pending post arms a flush timer for
-	// the coalesce window (the deadline), and reaching batchSize posts
+	// Doorbell batching. With a CoalesceWindow (interrupt-stance posts
+	// only), posts accumulate in a pending set sharing one inter-VM IRQ,
+	// flushed by a size+deadline policy: the first pending post arms a flush
+	// timer for the window (the deadline), and reaching BatchSize posts
 	// flushes immediately. The flush publishes a submission batch descriptor
 	// (hdrSubCount + hdrSubBits) and rings once, attributed to the oldest
 	// still-posted member's CURRENT rid — never to a RID whose slot was
 	// reclaimed and reposted inside the window. flushGen invalidates an
 	// armed deadline timer once a size-triggered flush has already run.
 	// The polling path never comes through here.
-	coalesce   sim.Duration
-	batchSize  int
 	pending    []int
 	pendingRID [slotCount]uint64
 	inPending  [slotCount]bool
@@ -110,24 +104,11 @@ type Frontend struct {
 	arrAvg     sim.Duration
 	lastPost   sim.Time
 
-	// Batched grant hypercalls (Config.GrantBatch). When set, declare prices
-	// a multi-entry grant set as ONE hypervisor crossing — CostGrantDeclare
-	// for the first entry plus CostGrantEntry per further entry — instead of
-	// CostGrantDeclare per entry, and the hypervisor's grant-validation
-	// cache is primed by the declaration (grant.Table.OnDeclare) so backend
-	// memory operations validate against the cached vector.
-	grantBatch bool
-
-	// QoS admission control (Config.Admission). admission maps a task's
-	// QoS class to the ring occupancy at which that class stops being
-	// admitted: a request whose class has a limit configured is refused
-	// with EAGAIN — before claiming a slot — once the ring already holds
-	// that many in-flight requests. Classes without an entry are admitted
-	// until the ring itself is full (EBUSY). This is the backpressure that
-	// keeps low-priority open-loop load from starving latency-critical
-	// classes of the 100 shared slots. admitNames are the per-class trace
-	// counter names, precomputed so the hot path never builds strings.
-	admission  map[uint8]int
+	// admitNames are the per-class trace counter names for
+	// Transport.Admission's EAGAIN refusals, precomputed so the hot path
+	// never builds strings. Admission is checked before a request claims a
+	// slot: it is the backpressure that keeps low-priority open-loop load
+	// from starving latency-critical classes of the 100 shared slots.
 	admitNames map[uint8]string
 
 	// Heartbeat state (driver-VM supervision): hbSeq is the last posted
@@ -232,16 +213,16 @@ func (fe *Frontend) kickBackend(rid uint64) {
 }
 
 // postDoorbell notifies the backend of a newly posted request slot. With
-// batching configured (coalesce > 0) and the channel in interrupt stance,
-// the slot joins the pending set instead of kicking: the first member arms
-// a flush timer for the coalesce deadline, reaching batchSize flushes at
+// batching configured (CoalesceWindow > 0) and the channel in interrupt
+// stance, the slot joins the pending set instead of kicking: the first
+// member arms a flush timer for the window, reaching BatchSize flushes at
 // once, and the whole set shares the single inter-VM IRQ the flush sends
 // (one CostInterVMIRQ for the batch). The polling path is untouched — a
 // spinning backend observes the page directly, IRQ-free — and watchdog
 // heartbeats call kickBackend directly so detection latency is never
 // inflated by the batching window.
 func (fe *Frontend) postDoorbell(rid uint64, slot int) {
-	if fe.coalesce <= 0 || fe.mode == Polling || (fe.mode == Adaptive && fe.stancePoll) {
+	if fe.transport.CoalesceWindow <= 0 || fe.transport.pollStance(fe.stancePoll) {
 		fe.kickBackend(rid)
 		return
 	}
@@ -257,7 +238,7 @@ func (fe *Frontend) postDoorbell(rid uint64, slot int) {
 	fe.pendingRID[slot] = rid
 	fe.inPending[slot] = true
 	fe.pending = append(fe.pending, slot)
-	if fe.batchSize > 0 && len(fe.pending) >= fe.batchSize {
+	if fe.transport.BatchSize > 0 && len(fe.pending) >= fe.transport.BatchSize {
 		// Size trigger: the batch is full, flush now. Bumping flushGen (done
 		// inside flushPending) invalidates the armed deadline timer.
 		fe.flushPending(fe.backend)
@@ -267,7 +248,7 @@ func (fe *Frontend) postDoorbell(rid uint64, slot int) {
 		// Deadline trigger: the first pending post arms the flush timer.
 		be := fe.backend
 		gen := fe.flushGen
-		fe.hv.Env.After(fe.coalesce, func() {
+		fe.hv.Env.After(fe.transport.CoalesceWindow, func() {
 			if fe.flushGen != gen {
 				return // a size-triggered flush already covered this window
 			}
@@ -400,7 +381,7 @@ const adaptiveGapCap = 8 * perf.AdaptivePollGap
 // never advances time, so Adaptive at steady state prices exactly like the
 // static mode it is currently imitating.
 func (fe *Frontend) updateStance() {
-	if fe.mode != Adaptive {
+	if fe.transport.Mode != Adaptive {
 		return
 	}
 	now := fe.hv.Env.Now()
@@ -436,10 +417,7 @@ func (fe *Frontend) updateStance() {
 // path: always in static Polling, and in Adaptive whenever the channel is
 // currently in poll stance.
 func (fe *Frontend) pollNow() bool {
-	if fe.window <= 0 {
-		return false
-	}
-	return fe.mode == Polling || (fe.mode == Adaptive && fe.stancePoll)
+	return fe.transport.PollWindow > 0 && fe.transport.pollStance(fe.stancePoll)
 }
 
 // slotClaimed reserves a slot between allocation and posting.
@@ -507,7 +485,7 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		fl.Outcome(rid, int32(kernel.EREMOTE), false)
 		return -1, kernel.EREMOTE
 	}
-	if lim, limited := fe.admission[t.QoS]; limited && !parked &&
+	if lim, limited := fe.transport.Admission[t.QoS]; limited && !parked &&
 		r.op != opOpen && r.op != opRelease && fe.Occupancy() >= lim {
 		// Admission control: this QoS class is not allowed to deepen the
 		// queue past its occupancy limit. EAGAIN tells an open-loop client
@@ -574,9 +552,10 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		// of the spin, before any of the timeout returns below, so an
 		// abandoned (ETIMEDOUT) request can never leave the backend
 		// believing a frontend is still spinning.
-		spin := fe.window
-		if fe.deadline > 0 && fe.deadline < spin {
-			spin = fe.deadline
+		deadline := fe.transport.RequestDeadline
+		spin := fe.transport.PollWindow
+		if deadline > 0 && deadline < spin {
+			spin = deadline
 		}
 		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)+1)
 		spinStart := fe.hv.Env.Now()
@@ -585,13 +564,13 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 		fe.ring.writeU32(hdrFrontendPoll, fe.ring.readU32(hdrFrontendPoll)-1)
 		if !woken {
 			switch {
-			case fe.deadline == 0:
+			case deadline == 0:
 				t.Sim().Wait(ev)
-			case spin >= fe.deadline:
+			case spin >= deadline:
 				// The spin consumed the whole deadline budget.
 				answered = false
 			default:
-				answered = t.Sim().WaitTimeout(ev, fe.deadline-spin)
+				answered = t.Sim().WaitTimeout(ev, deadline-spin)
 			}
 		}
 	} else {
@@ -627,8 +606,8 @@ func (fe *Frontend) roundTrip(c *kernel.FopCtx, r request) (int32, kernel.Errno)
 // fired (a completed slot whose interrupt was lost still counts as answered
 // via the caller's direct slot-state check).
 func (fe *Frontend) waitResponse(t *kernel.Task, ev *sim.Event) bool {
-	if fe.deadline > 0 {
-		return t.Sim().WaitTimeout(ev, fe.deadline)
+	if d := fe.transport.RequestDeadline; d > 0 {
+		return t.Sim().WaitTimeout(ev, d)
 	}
 	t.Sim().Wait(ev)
 	return true
@@ -637,7 +616,7 @@ func (fe *Frontend) waitResponse(t *kernel.Task, ev *sim.Event) bool {
 // SetDeadline installs the per-request deadline for subsequent operations
 // (0 disables). Supervision enables this so a request stuck behind a dead
 // driver VM times out with ETIMEDOUT instead of blocking its issuer forever.
-func (fe *Frontend) SetDeadline(d sim.Duration) { fe.deadline = d }
+func (fe *Frontend) SetDeadline(d sim.Duration) { fe.transport.RequestDeadline = d }
 
 // SetAdmission installs per-QoS-class admission limits: a request from a
 // class present in the map is refused with EAGAIN when the ring already
@@ -645,13 +624,13 @@ func (fe *Frontend) SetDeadline(d sim.Duration) { fe.deadline = d }
 // until the ring is full. nil (or empty) disables admission control.
 func (fe *Frontend) SetAdmission(limits map[uint8]int) {
 	if len(limits) == 0 {
-		fe.admission, fe.admitNames = nil, nil
+		fe.transport.Admission, fe.admitNames = nil, nil
 		return
 	}
-	fe.admission = make(map[uint8]int, len(limits))
+	fe.transport.Admission = make(map[uint8]int, len(limits))
 	fe.admitNames = make(map[uint8]string, len(limits))
 	for cls, lim := range limits {
-		fe.admission[cls] = lim
+		fe.transport.Admission[cls] = lim
 		fe.admitNames[cls] = fmt.Sprintf("cvd.%s@%s.eagain.class%d", fe.path, fe.vm, cls)
 	}
 }
@@ -756,7 +735,7 @@ func (fe *Frontend) declare(c *kernel.FopCtx, ops []grant.Op) (uint32, error) {
 	}
 	tr := trace.Get(fe.guestK.Env)
 	start := tr.Now()
-	if fe.grantBatch {
+	if fe.transport.GrantBatch {
 		perf.Charge(fe.guestK.Env, perf.CostGrantDeclare+sim.Duration(len(ops)-1)*perf.CostGrantEntry)
 		tr.Add("cvd.fe.grant.crossings", 1)
 	} else {
@@ -794,7 +773,7 @@ type bulkGrant struct {
 // backend's cached mapping, via grant.Table.OnRevoke, in the same instant.
 func (fe *Frontend) dataRef(c *kernel.FopCtx, fileID uint16, kind grant.Kind,
 	va mem.GuestVirt, n int) (ref uint32, flags uint8, oneshot bool, err error) {
-	if !fe.mapCache || n < fe.mapThreshold {
+	if !fe.transport.MapCache || n < fe.transport.MapThreshold {
 		ref, err = fe.declare(c, []grant.Op{{Kind: kind, VA: va, Len: uint64(n)}})
 		return ref, 0, true, err
 	}

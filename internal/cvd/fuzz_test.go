@@ -218,7 +218,7 @@ func FuzzReconnectEpochHostileWords(f *testing.F) {
 		})
 		r.be.Stop()
 		scribble(r, data)
-		be2, err := Reconnect(r.fe, r.h, r.driverVM, r.driverK, "/dev/testdev")
+		be2, err := Reconnect(r.fe, r.h, r.driverVM, r.driverK, "/dev/testdev", nil)
 		if err != nil {
 			return // an honest failure is acceptable; a panic is not
 		}

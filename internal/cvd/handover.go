@@ -93,7 +93,7 @@ func PrepareHandover(fe *Frontend, h *hv.Hypervisor, succVM *hv.VM, succK *kerne
 		return nil, err
 	}
 	prep := &HandoverPrep{fe: fe, beGPA: beGPA, proc: proc}
-	if fe.mapCache {
+	if fe.transport.MapCache {
 		// Pre-map the frontend's live bulk grants into the successor, paying
 		// the per-page mapping walks now — while the predecessor still serves
 		// — instead of as post-switch cache misses. Sorted for deterministic
@@ -140,9 +140,10 @@ func (p *HandoverPrep) Discard() {
 // Ordering: the device lookup — the only remaining failure — comes first;
 // then the predecessor's open files and mmaps are harvested for lazy warm
 // re-open; then the epoch bump retires the predecessor's right to the ring;
-// then the pre-built backend binds. No simulated time passes after the bump,
-// so no post can observe a ring that has an epoch but no owner.
-func CompleteHandover(fe *Frontend, prep *HandoverPrep, driverVM *hv.VM, driverK *kernel.Kernel, devicePath string) (*Backend, error) {
+// then the pre-built backend binds, joining pool (the successor's worker
+// pool) unless nil. No simulated time passes after the bump, so no post can
+// observe a ring that has an epoch but no owner.
+func CompleteHandover(fe *Frontend, prep *HandoverPrep, driverVM *hv.VM, driverK *kernel.Kernel, devicePath string, pool *Pool) (*Backend, error) {
 	node, ok := driverK.LookupDevice(devicePath)
 	if !ok {
 		return nil, fmt.Errorf("cvd: no device %s in successor %s", devicePath, driverK.Name)
@@ -180,34 +181,22 @@ func CompleteHandover(fe *Frontend, prep *HandoverPrep, driverVM *hv.VM, driverK
 	// pass, a deferred heartbeat ack — observes the mismatch on its next ring
 	// write and discards.
 	fe.ring.writeU32(hdrEpoch, fe.ring.readU32(hdrEpoch)+1)
-	vecToBackend := driverVM.AllocVector()
-	be := newBackendWith(prep.proc, fe.hv, driverVM, fe.guestVM, driverK, node,
-		prep.beGPA, fe.mode, fe.window, vecToBackend, fe.vecResp, fe.vecNotif)
-	// Successors keep the channel's batching behavior across the switch.
-	be.batchSize = fe.batchSize
-	be.batchWait = fe.coalesce
-	if fe.mapCache {
-		be.enableMapCache(fe.grants)
-		// Seed the successor's map cache with the pre-established mappings.
-		// Each is injected only if its bulk grant is still the one it was
-		// mapped under — a release or buffer change that slipped in via an
-		// in-flight operation during the drain revoked the grant, and a
-		// mapping under a revoked grant must not serve anything.
-		for _, wm := range prep.warm {
-			bg, live := fe.bulk[bulkKey{fileID: wm.key.fileID, kind: wm.key.kind}]
-			if !live || bg.ref != wm.m.Ref || wm.m.Dead() {
-				wm.m.Unmap()
-				continue
-			}
-			be.mapc.entries[wm.key] = wm.m
+	be := fe.bind(prep.proc, driverVM, driverK, node, prep.beGPA, pool)
+	// Seed the successor's map cache with the pre-established mappings.
+	// Each is injected only if its bulk grant is still the one it was mapped
+	// under — a release or buffer change that slipped in via an in-flight
+	// operation during the drain revoked the grant, and a mapping under a
+	// revoked grant must not serve anything.
+	for _, wm := range prep.warm {
+		bg, live := fe.bulk[bulkKey{fileID: wm.key.fileID, kind: wm.key.kind}]
+		if !live || bg.ref != wm.m.Ref || wm.m.Dead() {
+			wm.m.Unmap()
+			continue
 		}
-		prep.warm = nil
+		be.mapc.entries[wm.key] = wm.m
 	}
+	prep.warm = nil
 	be.warmFiles = warmFiles
 	be.warmVMAs = warmVMAs
-	be.frontendDoorbell = fe.scanDone
-	fe.driverVM = driverVM
-	fe.vecToBackend = vecToBackend
-	fe.backend = be
 	return be, nil
 }

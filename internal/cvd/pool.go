@@ -59,10 +59,9 @@ type poolChan struct {
 }
 
 // NewPool creates a worker pool of the given size on the driver VM kernel
-// and starts its workers (on the driver VM's calendar lane). quantum is the
-// deficit-round-robin quantum — how many consecutive operations one channel
-// may be served before the cursor moves on; values < 1 mean 1, strict
-// per-operation round-robin.
+// and starts its workers. quantum is the deficit-round-robin quantum — how
+// many consecutive operations one channel may be served before the cursor
+// moves on; values < 1 mean 1, strict per-operation round-robin.
 func NewPool(driverK *kernel.Kernel, workers, quantum int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -78,7 +77,7 @@ func NewPool(driverK *kernel.Kernel, workers, quantum int) *Pool {
 	}
 	for i := 0; i < workers; i++ {
 		i := i
-		driverK.Env.SpawnLane(driverK.Lane, fmt.Sprintf("cvd-op-worker-%d@%s", i, driverK.Name), func(p *sim.Proc) {
+		driverK.Env.Spawn(fmt.Sprintf("cvd-op-worker-%d@%s", i, driverK.Name), func(p *sim.Proc) {
 			pl.worker(p)
 		})
 	}

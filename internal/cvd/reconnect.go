@@ -34,12 +34,13 @@ func (b *Backend) Stop() {
 
 // Reconnect binds an existing frontend to a freshly booted driver VM: the
 // guest's ring page is shared into the new VM, a new backend dispatcher
-// starts there, and any operations that were in flight when the old driver
-// VM died are failed with EREMOTE so their issuers unblock. Guest file
-// descriptors opened before the restart are invalid afterwards (the new
-// driver has no state for them); applications reopen the device, exactly
-// as after a real driver VM restart.
-func Reconnect(fe *Frontend, h *hv.Hypervisor, driverVM *hv.VM, driverK *kernel.Kernel, devicePath string) (*Backend, error) {
+// starts there (joining pool, the new driver VM's worker pool, unless nil),
+// and any operations that were in flight when the old driver VM died are
+// failed with EREMOTE so their issuers unblock. Guest file descriptors
+// opened before the restart are invalid afterwards (the new driver has no
+// state for them); applications reopen the device, exactly as after a real
+// driver VM restart.
+func Reconnect(fe *Frontend, h *hv.Hypervisor, driverVM *hv.VM, driverK *kernel.Kernel, devicePath string, pool *Pool) (*Backend, error) {
 	node, ok := driverK.LookupDevice(devicePath)
 	if !ok {
 		return nil, fmt.Errorf("cvd: no device %s in restarted %s", devicePath, driverK.Name)
@@ -56,27 +57,11 @@ func Reconnect(fe *Frontend, h *hv.Hypervisor, driverVM *hv.VM, driverK *kernel.
 	// Without this, a late pre-restart handler could complete into a slot
 	// that was reclaimed and reposted in the new epoch.
 	fe.ring.writeU32(hdrEpoch, fe.ring.readU32(hdrEpoch)+1)
-	vecToBackend := driverVM.AllocVector()
-	be, err := newBackend(h, driverVM, fe.guestVM, driverK, node,
-		beGPA, fe.mode, fe.window, vecToBackend, fe.vecResp, fe.vecNotif)
+	proc, err := driverK.NewProcess("cvd-backend-" + fe.guestVM.Name)
 	if err != nil {
 		return nil, err
 	}
-	// The successor inherits the channel's batching knobs: the frontend keeps
-	// flushing submission descriptors, so the new backend must keep consuming
-	// (and completion-batching) them.
-	be.batchSize = fe.batchSize
-	be.batchWait = fe.coalesce
-	if fe.mapCache {
-		// The successor starts with a cold map cache, re-subscribed to the
-		// guest's grant table; the frontend's live bulk grants simply miss
-		// once and re-map against the new driver VM.
-		be.enableMapCache(fe.grants)
-	}
-	be.frontendDoorbell = fe.scanDone
-	fe.driverVM = driverVM
-	fe.vecToBackend = vecToBackend
-	fe.backend = be
+	be := fe.bind(proc, driverVM, driverK, node, beGPA, pool)
 	fe.failInflight()
 	return be, nil
 }

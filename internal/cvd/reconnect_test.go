@@ -68,7 +68,7 @@ func TestDriverVMDeathUnderLoadThenReconnect(t *testing.T) {
 	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 	r.be.Stop()
-	if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
+	if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev", nil); err != nil {
 		t.Fatal(err)
 	}
 	r.env.Run()
@@ -157,7 +157,7 @@ func TestReconnectRecoversDroppedResponseIRQ(t *testing.T) {
 	drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
 	driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
 	r.be.Stop()
-	if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
+	if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev", nil); err != nil {
 		t.Fatal(err)
 	}
 	r.env.Run()

@@ -38,7 +38,7 @@ func TestPollingTimeoutRespectsDeadlineExactly(t *testing.T) {
 		name     string
 		deadline sim.Duration
 	}{
-		{"deadline-above-window", sim.Millisecond},      // spin the window, then wait the rest
+		{"deadline-above-window", sim.Millisecond},       // spin the window, then wait the rest
 		{"deadline-below-window", 100 * sim.Microsecond}, // the spin itself is truncated
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestReconnectSweepScrubsTraceRIDFromAbandonedSlots(t *testing.T) {
 		driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
 		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
 		driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
-		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
+		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev", nil); err != nil {
 			t.Error(err)
 		}
 	})
@@ -193,7 +193,7 @@ func TestEpochGuardDiscardsWedgedBackendLateResponse(t *testing.T) {
 		driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
 		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
 		driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
-		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
+		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev", nil); err != nil {
 			t.Error(err)
 			return
 		}

@@ -270,7 +270,7 @@ func TestReconnectReclaimsAbandonedSlot(t *testing.T) {
 		driverK2 := kernel.New("driver2", kernel.Linux, r.env, driverVM2.Space, driverVM2.RAM)
 		drv2 := &testDriver{k: driverK2, wq: driverK2.NewWaitQueue("testdrv2")}
 		driverK2.RegisterDevice("/dev/testdev", drv2, drv2)
-		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev"); err != nil {
+		if _, err := Reconnect(r.fe, r.h, driverVM2, driverK2, "/dev/testdev", nil); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < slotCount; s++ {

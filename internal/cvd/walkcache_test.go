@@ -1,8 +1,8 @@
 package cvd
 
-// Tests for the translation-cache fast path (Config.TLB + Config.GrantBatch)
-// at the CVD layer: batched declares collapse a scatter-gather grant vector
-// into one hypervisor crossing, armed requests produce identical data to
+// Tests for the translation-cache fast path (Hypervisor.EnableTLB +
+// Config.GrantBatch) at the CVD layer: batched declares collapse a
+// scatter-gather grant vector into one hypervisor crossing, armed requests produce identical data to
 // dormant ones, and the hostile revoke-while-mapped case still faults with
 // every cache armed — the caches amortize cost, never authority.
 
@@ -20,7 +20,7 @@ import (
 // withWalkcache arms the software TLB and batched grant hypercalls.
 func withWalkcache() func(*Config) {
 	return func(c *Config) {
-		c.TLB = true
+		c.HV.EnableTLB()
 		c.GrantBatch = true
 	}
 }

@@ -53,7 +53,8 @@ func newMiniRig(t *testing.T) *miniRig {
 	fe, be, err := cvd.Connect(cvd.Config{
 		HV: h, GuestVM: guestVM, GuestK: guestK,
 		DriverVM: driverVM, DriverK: driverK,
-		DevicePath: stressPath, Mode: cvd.Interrupts,
+		DevicePath: stressPath,
+		Transport:  cvd.Transport{Mode: cvd.Interrupts},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -227,7 +227,7 @@ func (st *stressTarget) Restart() error {
 		return err
 	}
 	st.drivers = append(st.drivers, drv)
-	be, err := cvd.Reconnect(st.fe, st.h, vm, k, stressPath)
+	be, err := cvd.Reconnect(st.fe, st.h, vm, k, stressPath, nil)
 	if err != nil {
 		return err
 	}
@@ -453,8 +453,8 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 	cfg := cvd.Config{
 		HV: h, GuestVM: guestVM, GuestK: guestK,
 		DriverVM: driverVM, DriverK: driverK,
-		DevicePath: stressPath, Mode: mode,
-		RequestDeadline: deadline,
+		DevicePath: stressPath,
+		Transport:  cvd.Transport{Mode: mode, RequestDeadline: deadline},
 	}
 	if fastpath {
 		cfg.MapCache = true
@@ -462,7 +462,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		cfg.CoalesceWindow = 20 * sim.Microsecond
 	}
 	if walkcache {
-		cfg.TLB = true
+		h.EnableTLB()
 		cfg.GrantBatch = true
 	}
 	if adaptive {
@@ -483,12 +483,12 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 		if _, _, err := cvd.Connect(cvd.Config{
 			HV: h, GuestVM: guestVM, GuestK: guestK,
 			DriverVM: driverVM, DriverK: driverK,
-			DevicePath: load.SinkPath, Mode: mode,
+			DevicePath: load.SinkPath,
 			// Liveness under fire: nothing ever reconnects this channel,
 			// so requests stranded by a killed backend must unblock with
 			// ETIMEDOUT on their own.
-			RequestDeadline: 5 * sim.Millisecond,
-			Admission:       map[uint8]int{2: 60},
+			Transport: cvd.Transport{Mode: mode, RequestDeadline: 5 * sim.Millisecond,
+				Admission: map[uint8]int{2: 60}},
 		}); err != nil {
 			return err
 		}
@@ -718,7 +718,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 					}
 					prep = pr
 					pred := liveBE
-					be2, err := cvd.CompleteHandover(fe, prep, succVM, succK, stressPath)
+					be2, err := cvd.CompleteHandover(fe, prep, succVM, succK, stressPath, nil)
 					if err != nil {
 						return err
 					}
@@ -886,7 +886,7 @@ func runOne(seed int64, weaken bool, cap *traceCapture) (retErr error) {
 			if _, err := newStressDriver(driverK2, canaryVA); err != nil {
 				return err
 			}
-			if _, err := cvd.Reconnect(fe, h, driverVM2, driverK2, stressPath); err != nil {
+			if _, err := cvd.Reconnect(fe, h, driverVM2, driverK2, stressPath, nil); err != nil {
 				return err
 			}
 			// The manual operator restart also lifts any degraded-mode

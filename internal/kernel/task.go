@@ -49,7 +49,7 @@ type RemoteOps interface {
 // the scheduler first hands it control).
 func (p *Process) SpawnTask(name string, fn func(t *Task)) *Task {
 	t := &Task{Proc: p, Name: name}
-	p.K.Env.SpawnLane(p.K.Lane, p.K.Name+"/"+name, func(sp *sim.Proc) {
+	p.K.Env.Spawn(p.K.Name+"/"+name, func(sp *sim.Proc) {
 		t.sp = sp
 		fn(t)
 	})

@@ -10,21 +10,13 @@ import (
 // goroutine driving Run or from the single simulation process the scheduler
 // has handed control to.
 //
-// The calendar is partitioned into lanes — one per simulated machine, by
-// convention — each an independently heap-ordered queue. The scheduler merges
-// lanes through a small second-level heap keyed by each lane's head entry, so
-// the dispatch order is identical to a single global calendar (every entry
-// still carries a globally monotonic sequence number, and the merge compares
-// (time, seq) exactly as the flat calendar did) while per-lane push/pop cost
-// scales with that machine's backlog rather than the whole fleet's. Lane 0
-// always exists and is the default; AllocLane adds more.
+// The calendar is one heap ordered by (time, seq): entries due at the same
+// instant dispatch in the order they were scheduled.
 type Env struct {
 	now     Time
 	seq     uint64
-	lanes   []*laneQ // per-machine calendars; lanes[0] is the default lane
-	order   laneHeap // non-empty lanes, keyed by each lane's head (at, seq)
-	ctxLane int      // lane of the currently dispatched item; callbacks inherit it
-	current *Proc    // process currently holding the hand-off token, if any
+	cal     calendar
+	current *Proc // process currently holding the hand-off token, if any
 
 	yield   chan yieldKind // processes signal the scheduler here
 	running bool
@@ -37,11 +29,6 @@ type Env struct {
 	// timestamp. internal/trace implements this to fold scheduler activity
 	// into the unified trace; it must read time only, never advance it.
 	Observer SchedObserver
-
-	// Trace, when non-nil, receives a printf-style line per scheduling
-	// decision. This is the legacy debugging hook kept as a compatibility
-	// shim; structured consumers should use Observer instead.
-	Trace func(format string, args ...any)
 
 	// OnProcPanic, when non-nil, is consulted before a trapped process
 	// panic is re-raised on the Run caller's goroutine. Returning true
@@ -72,22 +59,8 @@ const (
 
 // NewEnv returns an empty environment at time zero.
 func NewEnv() *Env {
-	return &Env{
-		yield: make(chan yieldKind),
-		lanes: []*laneQ{{pos: -1}},
-	}
+	return &Env{yield: make(chan yieldKind)}
 }
-
-// AllocLane adds a calendar lane and returns its index. Lanes are cheap;
-// allocate one per simulated machine so its timer/resume traffic sorts in a
-// private heap. Lane indices are only meaningful within this Env.
-func (e *Env) AllocLane() int {
-	e.lanes = append(e.lanes, &laneQ{pos: -1})
-	return len(e.lanes) - 1
-}
-
-// Lanes returns the number of calendar lanes, including the default lane 0.
-func (e *Env) Lanes() int { return len(e.lanes) }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
@@ -97,12 +70,11 @@ func (e *Env) Now() Time { return e.now }
 func (e *Env) CurrentProc() *Proc { return e.current }
 
 type item struct {
-	at   Time
-	seq  uint64
-	lane int    // calendar lane the entry is queued on
-	fn   func() // callback to run (scheduler context), or nil
-	p    *Proc  // process to resume (mutually exclusive with fn)
-	gen  uint64 // resume generation; stale if != p.resumeGen when popped
+	at  Time
+	seq uint64
+	fn  func() // callback to run (scheduler context), or nil
+	p   *Proc  // process to resume (mutually exclusive with fn)
+	gen uint64 // resume generation; stale if != p.resumeGen when popped
 }
 
 type calendar []*item
@@ -125,94 +97,13 @@ func (c *calendar) Pop() any {
 	return it
 }
 
-// laneQ is one calendar lane: an independent heap of pending entries plus the
-// lane's position in the merge heap (-1 while the lane is empty).
-type laneQ struct {
-	cal calendar
-	pos int
-}
-
-// laneHeap orders the non-empty lanes by their head entry's (at, seq) — the
-// merge rule. Because seq is assigned globally at schedule time, popping the
-// merge heap's root lane head-by-head replays the exact total order a single
-// flat calendar would have produced.
-type laneHeap []*laneQ
-
-func (h laneHeap) Len() int { return len(h) }
-func (h laneHeap) Less(i, j int) bool {
-	a, b := h[i].cal[0], h[j].cal[0]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-func (h laneHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-func (h *laneHeap) Push(x any) {
-	l := x.(*laneQ)
-	l.pos = len(*h)
-	*h = append(*h, l)
-}
-func (h *laneHeap) Pop() any {
-	old := *h
-	n := len(old)
-	l := old[n-1]
-	old[n-1] = nil
-	l.pos = -1
-	*h = old[:n-1]
-	return l
-}
-
 func (e *Env) schedule(it *item) {
 	if it.at < e.now {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < %v", it.at, e.now))
 	}
 	it.seq = e.seq
 	e.seq++
-	if len(e.lanes) == 0 {
-		// Zero-value Env (tests construct these): materialize lane 0.
-		e.lanes = []*laneQ{{pos: -1}}
-	}
-	it.lane = e.ctxLane
-	if it.p != nil {
-		it.lane = it.p.lane
-	}
-	if it.lane < 0 || it.lane >= len(e.lanes) {
-		panic(fmt.Sprintf("sim: scheduling on unallocated lane %d (have %d)", it.lane, len(e.lanes)))
-	}
-	l := e.lanes[it.lane]
-	heap.Push(&l.cal, it)
-	if l.pos < 0 {
-		heap.Push(&e.order, l)
-	} else if l.cal[0] == it {
-		// The new entry displaced the lane head (earlier time; seq is
-		// monotonic so equal times never displace): re-key the merge heap.
-		heap.Fix(&e.order, l.pos)
-	}
-}
-
-// peek returns the globally next entry without removing it.
-func (e *Env) peek() *item {
-	if e.order.Len() == 0 {
-		return nil
-	}
-	return e.order[0].cal[0]
-}
-
-// popHead removes and returns the globally next entry, re-keying the merge
-// heap for the lane it came from.
-func (e *Env) popHead() *item {
-	l := e.order[0]
-	it := heap.Pop(&l.cal).(*item)
-	if l.cal.Len() == 0 {
-		heap.Pop(&e.order)
-	} else {
-		heap.Fix(&e.order, 0)
-	}
-	return it
+	heap.Push(&e.cal, it)
 }
 
 // At schedules fn to run at absolute time t in scheduler context.
@@ -243,30 +134,23 @@ func (e *Env) RunUntil(limit Time) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for {
-		it := e.peek()
-		if it == nil {
-			break
-		}
+	for len(e.cal) > 0 {
+		it := e.cal[0]
 		if it.p != nil && (it.p.finished || it.gen != it.p.resumeGen) {
 			// Stale resume (dead process or superseded wake-up): discard
 			// without letting it advance the clock.
-			e.popHead()
+			heap.Pop(&e.cal)
 			continue
 		}
 		if it.at > limit {
 			break
 		}
-		e.popHead()
+		heap.Pop(&e.cal)
 		e.now = it.at
-		e.ctxLane = it.lane
 		switch {
 		case it.fn != nil:
 			if e.Observer != nil {
 				e.Observer.SchedCallback(e.now)
-			}
-			if e.Trace != nil {
-				e.Trace("t=%v callback", e.now)
 			}
 			it.fn()
 		case it.p != nil:
@@ -274,7 +158,6 @@ func (e *Env) RunUntil(limit Time) {
 			e.resume(it.p)
 		}
 	}
-	e.ctxLane = 0
 	if limit < Time(1<<62-1) && e.now < limit {
 		e.now = limit
 	}
@@ -284,9 +167,6 @@ func (e *Env) RunUntil(limit Time) {
 func (e *Env) resume(p *Proc) {
 	if e.Observer != nil {
 		e.Observer.SchedResume(e.now, p.name)
-	}
-	if e.Trace != nil {
-		e.Trace("t=%v resume %s", e.now, p.name)
 	}
 	e.current = p
 	p.wake <- struct{}{}

@@ -11,19 +11,16 @@ import (
 type Proc struct {
 	env       *Env
 	name      string
-	lane      int // calendar lane the process's resumes queue on
 	wake      chan struct{}
 	finished  bool
 	queued    bool   // has a pending calendar resume entry
 	resumeGen uint64 // bumped per scheduled resume; stale entries are skipped
 }
 
-// Spawn creates a process running fn, scheduled to start now. The process
-// inherits the calendar lane of the context spawning it (the current item's
-// lane inside Run, lane 0 from host context); use SpawnLane to pin one.
+// Spawn creates a process running fn, scheduled to start now.
 // fn receives the process handle for sleeping and waiting.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, lane: e.ctxLane, wake: make(chan struct{})}
+	p := &Proc{env: e, name: name, wake: make(chan struct{})}
 	e.nprocs++
 	e.procs = append(e.procs, p)
 	go func() {
@@ -43,27 +40,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p.scheduleResume(e.now)
 	return p
 }
-
-// SpawnLane is Spawn with the process pinned to calendar lane lane (as
-// returned by AllocLane; 0 is the default lane). All the process's timer and
-// resume entries queue on that lane, as do callbacks and children it
-// schedules while running.
-func (e *Env) SpawnLane(lane int, name string, fn func(p *Proc)) *Proc {
-	if len(e.lanes) == 0 {
-		e.lanes = []*laneQ{{pos: -1}}
-	}
-	if lane < 0 || lane >= len(e.lanes) {
-		panic(fmt.Sprintf("sim: SpawnLane on unallocated lane %d (have %d)", lane, len(e.lanes)))
-	}
-	prev := e.ctxLane
-	e.ctxLane = lane
-	p := e.Spawn(name, fn)
-	e.ctxLane = prev
-	return p
-}
-
-// Lane returns the calendar lane the process is pinned to.
-func (p *Proc) Lane() int { return p.lane }
 
 // RunFunc spawns fn as a process and runs the environment until the calendar
 // drains. It is a convenience for tests and sequential experiments.

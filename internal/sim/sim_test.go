@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -321,6 +324,81 @@ func TestPropertySleepSum(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mixedWorkload drives a deterministic mix of timers, cross-proc event
+// wake-ups, same-instant ties, stale resumes via WaitTimeout races and
+// callbacks scheduled from process context, and returns the execution log.
+func mixedWorkload() []string {
+	e := NewEnv()
+	var log []string
+	ev := e.NewEvent("mixed")
+	for i := 0; i < 4; i++ {
+		i := i
+		e.Spawn(fmt.Sprintf("worker%d", i), func(p *Proc) {
+			rng := rand.New(rand.NewSource(int64(42 + i)))
+			for step := 0; step < 40; step++ {
+				switch rng.Intn(4) {
+				case 0:
+					p.Sleep(Duration(rng.Intn(5)) * Microsecond)
+				case 1:
+					// Same-instant tie with sibling workers.
+					p.Yield()
+				case 2:
+					if !p.WaitTimeout(ev, Duration(1+rng.Intn(3))*Microsecond) {
+						log = append(log, fmt.Sprintf("t=%v w%d timeout", p.Now(), i))
+					}
+				case 3:
+					ev.Trigger()
+					ev.Reset()
+				}
+				log = append(log, fmt.Sprintf("t=%v w%d step%d", p.Now(), i, step))
+				p.Env().After(Duration(rng.Intn(3))*Microsecond, func() {
+					log = append(log, fmt.Sprintf("t=%v cb from w%d", e.Now(), i))
+				})
+			}
+		})
+	}
+	e.Run()
+	return log
+}
+
+// TestCalendarDeterminism runs the mixed workload twice and requires
+// identical logs — the property every stress sweep leans on.
+func TestCalendarDeterminism(t *testing.T) {
+	if a, b := mixedWorkload(), mixedWorkload(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("mixed workload not deterministic across runs")
+	}
+}
+
+// TestCalendarManyProcsDrain runs a fleet-sized process count with
+// interleaved timers, checking the clock advances monotonically and every
+// process drains.
+func TestCalendarManyProcsDrain(t *testing.T) {
+	e := NewEnv()
+	const procs = 128
+	var last Time
+	var ran int
+	for i := 0; i < procs; i++ {
+		i := i
+		e.Spawn(fmt.Sprintf("vm%d", i), func(p *Proc) {
+			for s := 0; s < 20; s++ {
+				p.Sleep(Duration(1+(i*7+s*3)%11) * Microsecond)
+				if p.Now() < last {
+					t.Errorf("clock went backwards: %v after %v", p.Now(), last)
+				}
+				last = p.Now()
+				ran++
+			}
+		})
+	}
+	e.Run()
+	if ran != procs*20 {
+		t.Fatalf("ran %d steps, want %d", ran, procs*20)
+	}
+	if dl := e.Deadlocked(); dl != nil {
+		t.Fatalf("deadlocked procs: %v", dl)
 	}
 }
 

@@ -84,6 +84,11 @@ func (k Kind) String() string {
 }
 
 // Config sizes and configures a Machine. Zero values select defaults.
+//
+// Mode, PollWindow, RequestDeadline, MapCache, MapThreshold, CoalesceWindow,
+// BatchSize, GrantBatch and Admission are the CVD transport policy every
+// channel a guest paravirtualizes runs; each is documented once, on the
+// cvd.Transport field of the same name.
 type Config struct {
 	// HostRAM is total system memory (default 512 MiB).
 	HostRAM uint64
@@ -94,7 +99,7 @@ type Config struct {
 	GuestRAM uint64
 	// VRAM is GPU device memory (default 1 GiB, lazily backed).
 	VRAM uint64
-	// Mode selects the CVD transport (default Interrupts).
+	// Mode: see cvd.Transport.
 	Mode Mode
 	// DataIsolation enables the §4.2/§5.3 device data isolation
 	// configuration for the GPU.
@@ -106,9 +111,7 @@ type Config struct {
 	// "x1300", "gm965"). Device data isolation requires the Evergreen-class
 	// hd6450 (§5.3).
 	GPUModel string
-	// PollWindow is the CVD busy-poll window in polling mode (default the
-	// paper's 200 µs; §5.1 notes the value was chosen empirically — the
-	// "ablation" experiment sweeps it).
+	// PollWindow: see cvd.Transport.
 	PollWindow sim.Duration
 	// Supervision enables the driver-VM watchdog (internal/supervise): a
 	// hypervisor-layer health monitor that heartbeats every CVD channel,
@@ -121,32 +124,18 @@ type Config struct {
 	// Supervise tunes the watchdog; zero fields take the supervise package
 	// defaults. Ignored unless Supervision is set.
 	Supervise supervise.Config
-	// RequestDeadline bounds every forwarded file operation's wait for its
-	// response; a stuck request fails with ETIMEDOUT instead of blocking
-	// its issuer forever. Zero means no deadline. When Supervision is on
-	// and this is zero, a default of 50 ms is applied so detection by
-	// timeout is never slower than detection by watchdog.
+	// RequestDeadline: see cvd.Transport. When Supervision is on and this
+	// is zero, a default of 50 ms is applied so detection by timeout is
+	// never slower than detection by watchdog.
 	RequestDeadline sim.Duration
-	// MapCache enables the CVD bulk-transfer fast path: large read/write
-	// buffers are granted once per file and mapped into the driver VM by the
-	// backend, so repeated transfers to the same file skip the per-request
-	// hypervisor-assisted copy. Off by default (the paper's §4.1 behavior);
-	// the "bulk" experiment measures the crossover.
+	// MapCache: see cvd.Transport; the "bulk" experiment measures the
+	// crossover.
 	MapCache bool
-	// MapThreshold is the minimum transfer size in bytes routed through the
-	// map cache; zero selects cvd.DefaultMapThreshold (2 KB, from the cost
-	// model). Ignored unless MapCache is set.
+	// MapThreshold: see cvd.Transport.
 	MapThreshold int
-	// CoalesceWindow batches CVD doorbells in interrupt mode: slots posted
-	// within the window of the first share one inter-VM IRQ. Zero disables
-	// coalescing. Polling mode and watchdog heartbeats are unaffected.
+	// CoalesceWindow: see cvd.Transport.
 	CoalesceWindow sim.Duration
-	// BatchSize upgrades doorbell coalescing to multi-entry batches: the
-	// frontend flushes a submission descriptor as soon as BatchSize slots
-	// are pending (or CoalesceWindow elapses, whichever is first), and the
-	// backend batches up to BatchSize completions per response IRQ under
-	// the same deadline. Requires CoalesceWindow > 0; zero keeps the
-	// deadline-only coalescing behavior.
+	// BatchSize: see cvd.Transport.
 	BatchSize int
 	// TLB arms the hypervisor's software TLB: per-VM caches of
 	// guest-VA→system-PA translations consulted by the assisted-copy and
@@ -156,17 +145,10 @@ type Config struct {
 	// walk-every-time behavior); the "walkcache" experiment measures the
 	// hit-rate speedup.
 	TLB bool
-	// GrantBatch batches grant hypercalls: a file operation's whole grant
-	// vector is declared in one hypervisor crossing and backend validations
-	// hit the hypervisor's cached vector instead of re-scanning the shared
-	// page. Off by default.
+	// GrantBatch: see cvd.Transport.
 	GrantBatch bool
-	// Admission maps a QoS class (kernel.Task.QoS) to the CVD ring occupancy
-	// at which that class stops being admitted: once a device's ring holds
-	// that many in-flight requests, further requests from the class fail
-	// fast with EAGAIN instead of queueing. Classes absent from the map are
-	// admitted until the ring is full (EBUSY). Applied to every frontend a
-	// guest paravirtualizes. nil disables admission control (the default).
+	// Admission: see cvd.Transport. Applied to every frontend a guest
+	// paravirtualizes.
 	Admission map[uint8]int
 	// HandoverDrain bounds the quiesce stage of a planned driver-VM handover
 	// (HandoverDriverVM): if in-flight operations have not completed this
@@ -218,6 +200,21 @@ func (c Config) withDefaults() Config {
 		c.FairQuantum = 1
 	}
 	return c
+}
+
+// transport is the CVD transport policy every channel on the machine runs.
+func (c Config) transport() cvd.Transport {
+	return cvd.Transport{
+		Mode:            c.Mode,
+		PollWindow:      c.PollWindow,
+		RequestDeadline: c.RequestDeadline,
+		MapCache:        c.MapCache,
+		MapThreshold:    c.MapThreshold,
+		CoalesceWindow:  c.CoalesceWindow,
+		BatchSize:       c.BatchSize,
+		GrantBatch:      c.GrantBatch,
+		Admission:       c.Admission,
+	}
 }
 
 // Standard device paths on every Machine.
@@ -499,9 +496,7 @@ func (m *Machine) runDriverBootHooks(k *kernel.Kernel) error {
 // successor boots side-by-side while the predecessor — still the shard's
 // VM, still owning its devices — keeps serving. Shard 0 keeps the seed's
 // "driver" name (its generations are byte-compatible with the unsharded
-// machine); shard i > 0 is "driver<i+1>". Every generation gets its own
-// event lane, so a sharded machine's shards interleave through the
-// deterministic lane merge.
+// machine); shard i > 0 is "driver<i+1>".
 func (m *Machine) newShardVM(i int) (*hv.VM, *kernel.Kernel, error) {
 	name := "driver"
 	if i > 0 {
@@ -512,7 +507,6 @@ func (m *Machine) newShardVM(i int) (*hv.VM, *kernel.Kernel, error) {
 		return nil, nil, err
 	}
 	drvK := kernel.New(name, kernel.Linux, m.Env, drvVM.Space, m.cfg.DriverRAM)
-	drvK.Lane = m.Env.AllocLane()
 	if m.Kind != KindNative {
 		// Threads in a VM pay the vCPU-kick penalty on wake-ups.
 		drvK.WakePenalty = perf.CostVMExitIRQ

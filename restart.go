@@ -143,12 +143,9 @@ func (m *Machine) restartShard(i int) error {
 				continue
 			}
 			fe := g.Frontends[path]
-			be, err := cvd.Reconnect(fe, m.HV, sh.VM, sh.K, path)
+			be, err := cvd.Reconnect(fe, m.HV, sh.VM, sh.K, path, sh.Pool)
 			if err != nil {
 				return err
-			}
-			if sh.Pool != nil {
-				sh.Pool.Join(be)
 			}
 			g.Backends[path] = be
 			// A successful restart un-degrades the device: the fresh driver

@@ -10,6 +10,8 @@
 //	paradice-bench -list           # list experiment IDs
 //	paradice-bench -json           # machine-readable results on stdout
 //	paradice-bench -trace DIR      # per-machine Chrome traces + metrics
+//	paradice-bench -cpuprofile FILE -memprofile FILE
+//	                               # pprof CPU / allocation profiles of the run
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 
 	"paradice"
@@ -31,6 +34,8 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	jsonOut := flag.Bool("json", false, "emit results as JSON on stdout")
 	traceDir := flag.String("trace", "", "directory for per-machine Chrome traces and metrics dumps")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiments to `file`")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the experiments to `file`")
 	flag.Parse()
 
 	if *list {
@@ -77,6 +82,11 @@ func main() {
 	}
 	var results []jsonResult
 
+	stopProfile, err := startProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	failed := false
 	for _, e := range selected {
 		if !*jsonOut {
@@ -102,6 +112,18 @@ func main() {
 		}
 		traced = traced[:0]
 	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		failed = true
+	}
+	if *memProfile != "" {
+		if err := writeFile(*memProfile, func(w io.Writer) error {
+			return pprof.Lookup("allocs").WriteTo(w, 0)
+		}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			failed = true
+		}
+	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -114,6 +136,26 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// startProfile starts a CPU profile into path (nothing when path is empty)
+// and returns the function that stops it and closes the file.
+func startProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // dumpTrace writes one traced machine's Chrome trace and metrics dump and

@@ -521,11 +521,12 @@ func (b *Backend) OnDeath(fn func()) {
 
 func (b *Backend) oldestPosted() (int, bool) {
 	best, bestSeq, found := -1, uint32(0), false
+	f := b.ring.frame(mem.PermRead)
 	for s := 0; s < slotCount; s++ {
-		if b.ring.slotState(s) != slotPosted {
+		if f.slotState(s) != slotPosted {
 			continue
 		}
-		seq := b.ring.readU32(slotOff(s) + sSeq)
+		seq := f.u32(slotOff(s) + sSeq)
 		if !found || seq < bestSeq {
 			best, bestSeq, found = s, seq, true
 		}

@@ -323,7 +323,8 @@ func (fe *Frontend) flushPending(be *Backend) {
 // sweep recovered it. Slots whose issuer timed out and left are reclaimed
 // here — the late response is discarded, never delivered.
 func (fe *Frontend) scanDone() {
-	if fe.ring.readU32(hdrDoneCount) != 0 {
+	f := fe.ring.frame(mem.PermRead)
+	if f.u32(hdrDoneCount) != 0 {
 		fe.ring.writeU32(hdrDoneCount, 0)
 	}
 	words := fe.ring.takeBitmap(hdrDoneBits)
@@ -332,7 +333,7 @@ func (fe *Frontend) scanDone() {
 			b := bits.TrailingZeros32(word)
 			word &^= 1 << uint(b)
 			s := w*32 + b
-			if s >= slotCount || fe.ring.slotState(s) != slotDone {
+			if s >= slotCount || f.slotState(s) != slotDone {
 				continue // hostile or stale bit: no completed slot behind it
 			}
 			if fe.abandoned[s] {
@@ -343,7 +344,7 @@ func (fe *Frontend) scanDone() {
 			fe.respEvents[s].Trigger()
 		}
 	}
-	if fe.hbEvent != nil && fe.ring.readU32(hdrHbAck) == fe.hbSeq {
+	if fe.hbEvent != nil && f.u32(hdrHbAck) == fe.hbSeq {
 		fe.hbEvent.Trigger()
 	}
 }
@@ -424,8 +425,9 @@ func (fe *Frontend) pollNow() bool {
 const slotClaimed = 4
 
 func (fe *Frontend) allocSlot() (int, bool) {
+	f := fe.ring.frame(mem.PermRead)
 	for s := 0; s < slotCount; s++ {
-		if fe.ring.slotState(s) == slotFree {
+		if f.slotState(s) == slotFree {
 			fe.ring.setSlotState(s, slotClaimed)
 			return s, true
 		}
@@ -640,8 +642,9 @@ func (fe *Frontend) SetAdmission(limits map[uint8]int) {
 // admission limits are compared against.
 func (fe *Frontend) Occupancy() int {
 	n := 0
+	f := fe.ring.frame(mem.PermRead)
 	for s := 0; s < slotCount; s++ {
-		if fe.ring.slotState(s) != slotFree {
+		if f.slotState(s) != slotFree {
 			n++
 		}
 	}

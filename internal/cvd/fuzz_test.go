@@ -35,9 +35,11 @@ func scribble(r *rig, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	if err := r.fe.ring.acc.WriteAt(off, data); err != nil {
+	pg, err := r.fe.ring.acc.Page(mem.PermWrite)
+	if err != nil {
 		panic("fuzz rig ring inaccessible: " + err.Error())
 	}
+	copy(pg[off:], data)
 }
 
 // probe issues one legitimate operation after the hostile bytes landed. The

@@ -7,6 +7,7 @@ import (
 	"paradice/internal/devfile"
 	"paradice/internal/faults"
 	"paradice/internal/kernel"
+	"paradice/internal/mem"
 	"paradice/internal/sim"
 )
 
@@ -127,9 +128,11 @@ func TestHostileRandomRingCorruption(t *testing.T) {
 		buf := make([]byte, 1+rng.Intn(16))
 		rng.Read(buf)
 		off := rng.Intn(pageBytes - len(buf))
-		if err := r.fe.ring.acc.WriteAt(off, buf); err != nil {
+		pg, err := r.fe.ring.acc.Page(mem.PermWrite)
+		if err != nil {
 			t.Fatal(err)
 		}
+		copy(pg[off:], buf)
 		r.h.SendInterrupt(r.driverVM, r.fe.vecToBackend)
 		r.env.RunUntil(r.env.Now().Add(200 * sim.Microsecond))
 	}
@@ -137,9 +140,11 @@ func TestHostileRandomRingCorruption(t *testing.T) {
 
 	// The guest corrupted only its own channel. Scrub the page (the state a
 	// rebooted guest channel would present) and demand service.
-	if err := r.fe.ring.acc.WriteAt(0, make([]byte, pageBytes)); err != nil {
+	pg, err := r.fe.ring.acc.Page(mem.PermWrite)
+	if err != nil {
 		t.Fatal(err)
 	}
+	copy(pg[:], make([]byte, pageBytes))
 	app, _ := r.guestK.NewProcess("app")
 	ok := false
 	app.SpawnTask("main", func(tk *kernel.Task) {

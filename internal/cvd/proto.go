@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 
 	"paradice/internal/grant"
+	"paradice/internal/mem"
 )
 
 // Op codes of forwarded file operations.
@@ -107,37 +108,46 @@ type page struct {
 	acc grant.Accessor
 }
 
-func (p page) readU32(off int) uint32 {
-	var b [4]byte
-	if err := p.acc.ReadAt(off, b[:]); err != nil {
+// frame translates the ring page for an access of kind perm, at this
+// instant, and returns it for in-place decoding. The frame serves the
+// calling method only: the next access translates again, so an EPT edit in
+// between (restart, handover, a region change) is always observed. A
+// translation failure means the simulated machine itself is broken, so it
+// panics rather than returning an errno.
+func (p page) frame(perm mem.Perm) *ringFrame {
+	f, err := p.acc.Page(perm)
+	if err != nil {
 		panic("cvd: ring page inaccessible: " + err.Error())
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	return (*ringFrame)(f)
 }
 
-func (p page) writeU32(off int, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	if err := p.acc.WriteAt(off, b[:]); err != nil {
-		panic("cvd: ring page inaccessible: " + err.Error())
+// ringFrame is the ring page's bytes, decoded in place.
+type ringFrame [mem.PageSize]byte
+
+func (f *ringFrame) u32(off int) uint32 { return binary.LittleEndian.Uint32(f[off:]) }
+func (f *ringFrame) setU32(off int, v uint32) {
+	binary.LittleEndian.PutUint32(f[off:], v)
+}
+func (f *ringFrame) u64(off int) uint64 { return binary.LittleEndian.Uint64(f[off:]) }
+func (f *ringFrame) setU64(off int, v uint64) {
+	binary.LittleEndian.PutUint64(f[off:], v)
+}
+func (f *ringFrame) slotState(slot int) uint32 { return f.u32(slotOff(slot) + sState) }
+
+// setBit ORs slot's bit into the descriptor bitmap rooted at base
+// (hdrSubBits or hdrDoneBits). Out-of-range slots are ignored — the bitmaps
+// are advisory and must never become a way to write outside their words.
+func (f *ringFrame) setBit(base, slot int) {
+	if slot < 0 || slot >= bitmapWords*32 {
+		return
 	}
+	off := base + 4*(slot/32)
+	f.setU32(off, f.u32(off)|1<<uint(slot%32))
 }
 
-func (p page) readU64(off int) uint64 {
-	var b [8]byte
-	if err := p.acc.ReadAt(off, b[:]); err != nil {
-		panic("cvd: ring page inaccessible: " + err.Error())
-	}
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-func (p page) writeU64(off int, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	if err := p.acc.WriteAt(off, b[:]); err != nil {
-		panic("cvd: ring page inaccessible: " + err.Error())
-	}
-}
+func (p page) readU32(off int) uint32     { return p.frame(mem.PermRead).u32(off) }
+func (p page) writeU32(off int, v uint32) { p.frame(mem.PermWrite).setU32(off, v) }
 
 func slotOff(slot int) int { return hdrSize + slot*slotSize }
 
@@ -156,54 +166,54 @@ type request struct {
 }
 
 func (p page) writeRequest(slot int, r request) {
-	base := slotOff(slot)
-	p.writeU32(base+sOp, uint32(r.op)|uint32(r.flags)<<8|uint32(r.fileID)<<16)
-	p.writeU32(base+sRef, r.ref)
-	p.writeU32(base+sSeq, r.seq)
-	p.writeU64(base+sArg0, r.arg0)
-	p.writeU64(base+sArg1, r.arg1)
-	p.writeU32(base+sRet, uint32(r.arg2))
+	f, base := p.frame(mem.PermWrite), slotOff(slot)
+	f.setU32(base+sOp, uint32(r.op)|uint32(r.flags)<<8|uint32(r.fileID)<<16)
+	f.setU32(base+sRef, r.ref)
+	f.setU32(base+sSeq, r.seq)
+	f.setU64(base+sArg0, r.arg0)
+	f.setU64(base+sArg1, r.arg1)
+	f.setU32(base+sRet, uint32(r.arg2))
 	// The errno word carries the trace request ID frontend -> backend; the
 	// response overwrites it. The ring page is exactly full (96-byte header
 	// + 100×40-byte slots), so tracing reuses dead request-direction bytes
 	// rather than growing the slot.
-	p.writeU32(base+sErrno, r.rid)
-	p.writeU32(base+sState, slotPosted)
+	f.setU32(base+sErrno, r.rid)
+	f.setU32(base+sState, slotPosted)
 }
 
 func (p page) readRequest(slot int) request {
-	base := slotOff(slot)
-	opFile := p.readU32(base + sOp)
+	f, base := p.frame(mem.PermRead), slotOff(slot)
+	opFile := f.u32(base + sOp)
 	return request{
 		slot:   slot,
 		op:     uint8(opFile),
 		flags:  uint8(opFile >> 8),
 		fileID: uint16(opFile >> 16),
-		ref:    p.readU32(base + sRef),
-		seq:    p.readU32(base + sSeq),
-		arg0:   p.readU64(base + sArg0),
-		arg1:   p.readU64(base + sArg1),
-		arg2:   uint64(p.readU32(base + sRet)),
-		rid:    p.readU32(base + sErrno),
+		ref:    f.u32(base + sRef),
+		seq:    f.u32(base + sSeq),
+		arg0:   f.u64(base + sArg0),
+		arg1:   f.u64(base + sArg1),
+		arg2:   uint64(f.u32(base + sRet)),
+		rid:    f.u32(base + sErrno),
 	}
 }
 
 func (p page) writeResponse(slot int, ret int32, errno int32) {
-	base := slotOff(slot)
-	p.writeU32(base+sRet, uint32(ret))
-	p.writeU32(base+sErrno, uint32(errno))
-	p.writeU32(base+sState, slotDone)
+	f, base := p.frame(mem.PermRW), slotOff(slot)
+	f.setU32(base+sRet, uint32(ret))
+	f.setU32(base+sErrno, uint32(errno))
+	f.setU32(base+sState, slotDone)
 	// Publish a completion descriptor so the frontend's scan is O(batch):
 	// set the slot's done bit and bump the count. The words are advisory —
 	// the scan re-validates against slot state — so a hostile peer clearing
 	// them degrades to a deadline, never to corruption.
-	p.setBitmapBit(hdrDoneBits, slot)
-	p.writeU32(hdrDoneCount, p.readU32(hdrDoneCount)+1)
+	f.setBit(hdrDoneBits, slot)
+	f.setU32(hdrDoneCount, f.u32(hdrDoneCount)+1)
 }
 
 func (p page) readResponse(slot int) (ret int32, errno int32) {
-	base := slotOff(slot)
-	return int32(p.readU32(base + sRet)), int32(p.readU32(base + sErrno))
+	f, base := p.frame(mem.PermRead), slotOff(slot)
+	return int32(f.u32(base + sRet)), int32(f.u32(base + sErrno))
 }
 
 // recycleSlot returns a slot to the free pool, scrubbing the response words
@@ -213,46 +223,39 @@ func (p page) readResponse(slot int) (ret int32, errno int32) {
 // otherwise leave a stale RID where the next reader expects an errno. Every
 // path that frees a slot without reading a response must come through here.
 func (p page) recycleSlot(slot int) {
-	base := slotOff(slot)
-	p.writeU32(base+sRet, 0)
-	p.writeU32(base+sErrno, 0)
-	p.writeU32(base+sState, slotFree)
+	f, base := p.frame(mem.PermWrite), slotOff(slot)
+	f.setU32(base+sRet, 0)
+	f.setU32(base+sErrno, 0)
+	f.setU32(base+sState, slotFree)
 }
 
-func (p page) slotState(slot int) uint32 { return p.readU32(slotOff(slot) + sState) }
+func (p page) slotState(slot int) uint32 { return p.frame(mem.PermRead).slotState(slot) }
 func (p page) setSlotState(slot int, st uint32) {
 	p.writeU32(slotOff(slot)+sState, st)
 }
 
-// setBitmapBit ORs slot's bit into the descriptor bitmap rooted at base
-// (hdrSubBits or hdrDoneBits). Out-of-range slots are ignored — the bitmaps
-// are advisory and must never become a way to write outside their words.
-func (p page) setBitmapBit(base, slot int) {
-	if slot < 0 || slot >= bitmapWords*32 {
-		return
-	}
-	off := base + 4*(slot/32)
-	p.writeU32(off, p.readU32(off)|1<<uint(slot%32))
-}
+// setBitmapBit ORs slot's bit into the descriptor bitmap rooted at base.
+func (p page) setBitmapBit(base, slot int) { p.frame(mem.PermRW).setBit(base, slot) }
 
 // takeBitmap reads and clears the descriptor bitmap rooted at base. The
 // caller validates each set bit against the actual slot state before acting
 // on it: the words cross the VM boundary and are untrusted.
 func (p page) takeBitmap(base int) [bitmapWords]uint32 {
 	var bits [bitmapWords]uint32
-	for w := 0; w < bitmapWords; w++ {
-		off := base + 4*w
-		bits[w] = p.readU32(off)
-		if bits[w] != 0 {
-			p.writeU32(off, 0)
-		}
+	f := p.frame(mem.PermRead)
+	for w := range bits {
+		bits[w] = f.u32(base + 4*w)
+	}
+	if bits != [bitmapWords]uint32{} {
+		clear(p.frame(mem.PermWrite)[base : base+4*bitmapWords])
 	}
 	return bits
 }
 
 // postNotif ORs bits into the pending-notification field.
 func (p page) postNotif(bits uint32) {
-	p.writeU32(hdrNotifBits, p.readU32(hdrNotifBits)|bits)
+	f := p.frame(mem.PermRW)
+	f.setU32(hdrNotifBits, f.u32(hdrNotifBits)|bits)
 }
 
 // takeNotifs reads and clears the pending-notification bits.

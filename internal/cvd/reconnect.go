@@ -5,6 +5,7 @@ import (
 
 	"paradice/internal/hv"
 	"paradice/internal/kernel"
+	"paradice/internal/mem"
 )
 
 // Driver VM restart support (§8): "a malicious guest VM can break the
@@ -74,8 +75,9 @@ func Reconnect(fe *Frontend, h *hv.Hypervisor, driverVM *hv.VM, driverK *kernel.
 // already timed out with ETIMEDOUT — have no waiter and are simply
 // reclaimed; the dead backend can never deliver their late response.
 func (fe *Frontend) failInflight() {
+	f := fe.ring.frame(mem.PermRead)
 	for s := 0; s < slotCount; s++ {
-		st := fe.ring.slotState(s)
+		st := f.slotState(s)
 		if fe.abandoned[s] && st != slotFree {
 			fe.abandoned[s] = false
 			// recycleSlot, not a bare state write: a slot abandoned in

@@ -68,44 +68,46 @@ const (
 // Slots is the number of grant entries one table page holds.
 const Slots = slotCount
 
-// Accessor is how one side of the boundary reads and writes the shared page.
+// Accessor is how one side of the boundary reaches the shared page: Page
+// translates the page for an access of kind perm at the moment of the call
+// and returns its frame, so table operations decode and write slots in
+// place. The frame must not be kept past the operation that fetched it —
+// the next operation translates again, so mapping and permission changes
+// are always honoured.
 type Accessor interface {
-	ReadAt(off int, b []byte) error
-	WriteAt(off int, b []byte) error
+	Page(perm mem.Perm) (*[mem.PageSize]byte, error)
 }
 
 // GuestAccessor accesses the page through a guest-physical address — the
-// frontend's view.
+// frontend's view, checked against the VM's EPT on every call.
 type GuestAccessor struct {
 	Space *mem.GuestSpace
 	GPA   mem.GuestPhys
 }
 
-// ReadAt implements Accessor.
-func (a *GuestAccessor) ReadAt(off int, b []byte) error {
-	return a.Space.Read(a.GPA+mem.GuestPhys(off), b)
-}
-
-// WriteAt implements Accessor.
-func (a *GuestAccessor) WriteAt(off int, b []byte) error {
-	return a.Space.Write(a.GPA+mem.GuestPhys(off), b)
+// Page implements Accessor.
+func (a *GuestAccessor) Page(perm mem.Perm) (*[mem.PageSize]byte, error) {
+	return a.Space.Frame(a.GPA, perm)
 }
 
 // PhysAccessor accesses the page through its system-physical address — the
-// hypervisor's view.
+// hypervisor's view, which has no EPT above it.
 type PhysAccessor struct {
 	Phys *mem.PhysMem
 	SPA  mem.SysPhys
 }
 
-// ReadAt implements Accessor.
-func (a *PhysAccessor) ReadAt(off int, b []byte) error {
-	return a.Phys.Read(a.SPA+mem.SysPhys(off), b)
-}
-
-// WriteAt implements Accessor.
-func (a *PhysAccessor) WriteAt(off int, b []byte) error {
-	return a.Phys.Write(a.SPA+mem.SysPhys(off), b)
+// Page implements Accessor. An unbacked frame is a *mem.BusError.
+func (a *PhysAccessor) Page(perm mem.Perm) (*[mem.PageSize]byte, error) {
+	f := a.Phys.FrameBytes(a.SPA)
+	if f == nil {
+		op := "read"
+		if perm&mem.PermWrite != 0 {
+			op = "write"
+		}
+		return nil, &mem.BusError{Addr: a.SPA, Op: op}
+	}
+	return f, nil
 }
 
 // Table is the frontend's handle for declaring and revoking grants.
@@ -144,23 +146,21 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 	if t.nextRef == 0 { // refs must stay nonzero
 		t.nextRef = 1
 	}
+	pg, err := t.acc.Page(mem.PermRW)
+	if err != nil {
+		return 0, err
+	}
 	written := 0
 	for slot := 0; slot < slotCount && written < len(ops); slot++ {
-		var refB [4]byte
-		if err := t.acc.ReadAt(slot*slotSize+offRef, refB[:]); err != nil {
-			return 0, err
-		}
-		if binary.LittleEndian.Uint32(refB[:]) != 0 {
+		if slotRef(pg, slot) != 0 {
 			continue
 		}
-		if err := writeSlot(t.acc, slot, ref, ptRoot, ops[written]); err != nil {
-			return 0, err
-		}
+		writeSlot(pg, slot, ref, ptRoot, ops[written])
 		written++
 	}
 	if written < len(ops) {
 		// Roll back what we wrote: the table page is full.
-		_ = revoke(t.acc, ref)
+		revoke(pg, ref)
 		return 0, fmt.Errorf("grant: table full (%d slots)", slotCount)
 	}
 	for _, fn := range t.onDeclare {
@@ -173,9 +173,11 @@ func (t *Table) Declare(ptRoot mem.GuestPhys, ops []Op) (uint32, error) {
 // subscribers so cached state keyed on the reference (grant-map cache
 // entries) is invalidated in the same instant.
 func (t *Table) Revoke(ref uint32) error {
-	if err := revoke(t.acc, ref); err != nil {
+	pg, err := t.acc.Page(mem.PermRW)
+	if err != nil {
 		return err
 	}
+	revoke(pg, ref)
 	if ref != 0 {
 		for _, fn := range t.onRevoke {
 			fn(ref)
@@ -198,30 +200,27 @@ func (t *Table) OnDeclare(fn func(ref uint32, ptRoot mem.GuestPhys, ops []Op)) {
 	t.onDeclare = append(t.onDeclare, fn)
 }
 
-func writeSlot(acc Accessor, slot int, ref uint32, ptRoot mem.GuestPhys, op Op) error {
-	var buf [slotSize]byte
-	binary.LittleEndian.PutUint32(buf[offRef:], ref)
-	buf[offKind] = uint8(op.Kind)
-	binary.LittleEndian.PutUint64(buf[offVA:], uint64(op.VA))
-	binary.LittleEndian.PutUint64(buf[offLen:], op.Len)
-	binary.LittleEndian.PutUint64(buf[offPTRoot:], uint64(ptRoot))
-	return acc.WriteAt(slot*slotSize, buf[:])
+// slotRef returns the reference number of slot (0 = free).
+func slotRef(pg *[mem.PageSize]byte, slot int) uint32 {
+	return binary.LittleEndian.Uint32(pg[slot*slotSize+offRef:])
 }
 
-func revoke(acc Accessor, ref uint32) error {
-	var zero [slotSize]byte
+func writeSlot(pg *[mem.PageSize]byte, slot int, ref uint32, ptRoot mem.GuestPhys, op Op) {
+	b := pg[slot*slotSize : (slot+1)*slotSize]
+	clear(b)
+	binary.LittleEndian.PutUint32(b[offRef:], ref)
+	b[offKind] = uint8(op.Kind)
+	binary.LittleEndian.PutUint64(b[offVA:], uint64(op.VA))
+	binary.LittleEndian.PutUint64(b[offLen:], op.Len)
+	binary.LittleEndian.PutUint64(b[offPTRoot:], uint64(ptRoot))
+}
+
+func revoke(pg *[mem.PageSize]byte, ref uint32) {
 	for slot := 0; slot < slotCount; slot++ {
-		var refB [4]byte
-		if err := acc.ReadAt(slot*slotSize+offRef, refB[:]); err != nil {
-			return err
-		}
-		if binary.LittleEndian.Uint32(refB[:]) == ref {
-			if err := acc.WriteAt(slot*slotSize, zero[:]); err != nil {
-				return err
-			}
+		if slotRef(pg, slot) == ref {
+			clear(pg[slot*slotSize : (slot+1)*slotSize])
 		}
 	}
-	return nil
 }
 
 // FindRef scans the page for any slot declared under ref and returns its
@@ -232,16 +231,21 @@ func FindRef(acc Accessor, ref uint32) (mem.GuestPhys, bool, error) {
 	if ref == 0 {
 		return 0, false, nil
 	}
+	pg, err := acc.Page(mem.PermRead)
+	if err != nil {
+		return 0, false, err
+	}
 	for slot := 0; slot < slotCount; slot++ {
-		var buf [slotSize]byte
-		if err := acc.ReadAt(slot*slotSize, buf[:]); err != nil {
-			return 0, false, err
-		}
-		if binary.LittleEndian.Uint32(buf[offRef:]) == ref {
-			return mem.GuestPhys(binary.LittleEndian.Uint64(buf[offPTRoot:])), true, nil
+		if slotRef(pg, slot) == ref {
+			return slotPTRoot(pg, slot), true, nil
 		}
 	}
 	return 0, false, nil
+}
+
+// slotPTRoot returns the page-table root declared in slot.
+func slotPTRoot(pg *[mem.PageSize]byte, slot int) mem.GuestPhys {
+	return mem.GuestPhys(binary.LittleEndian.Uint64(pg[slot*slotSize+offPTRoot:]))
 }
 
 // DeniedError reports a memory operation the grant table does not cover —
@@ -267,22 +271,23 @@ func Validate(acc Accessor, ref uint32, kind Kind, va mem.GuestVirt, n uint64) (
 	if ref == 0 {
 		return 0, &DeniedError{Ref: ref, Kind: kind, VA: va, Len: n}
 	}
+	pg, err := acc.Page(mem.PermRead)
+	if err != nil {
+		return 0, err
+	}
 	for slot := 0; slot < slotCount; slot++ {
-		var buf [slotSize]byte
-		if err := acc.ReadAt(slot*slotSize, buf[:]); err != nil {
-			return 0, err
-		}
-		if binary.LittleEndian.Uint32(buf[offRef:]) != ref {
+		if slotRef(pg, slot) != ref {
 			continue
 		}
-		k := Kind(buf[offKind])
+		b := pg[slot*slotSize : (slot+1)*slotSize]
+		k := Kind(b[offKind])
 		if k != kind && !(kind == KindUnmap && k == KindMapPage) {
 			continue
 		}
-		eva := mem.GuestVirt(binary.LittleEndian.Uint64(buf[offVA:]))
-		elen := binary.LittleEndian.Uint64(buf[offLen:])
+		eva := mem.GuestVirt(binary.LittleEndian.Uint64(b[offVA:]))
+		elen := binary.LittleEndian.Uint64(b[offLen:])
 		if va >= eva && uint64(va)+n <= uint64(eva)+elen && uint64(va)+n >= uint64(va) {
-			return mem.GuestPhys(binary.LittleEndian.Uint64(buf[offPTRoot:])), nil
+			return slotPTRoot(pg, slot), nil
 		}
 	}
 	return 0, &DeniedError{Ref: ref, Kind: kind, VA: va, Len: n}

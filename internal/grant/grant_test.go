@@ -11,13 +11,8 @@ import (
 // byteAccessor is a plain in-memory page for unit tests.
 type byteAccessor struct{ page [mem.PageSize]byte }
 
-func (a *byteAccessor) ReadAt(off int, b []byte) error {
-	copy(b, a.page[off:])
-	return nil
-}
-func (a *byteAccessor) WriteAt(off int, b []byte) error {
-	copy(a.page[off:], b)
-	return nil
+func (a *byteAccessor) Page(mem.Perm) (*[mem.PageSize]byte, error) {
+	return &a.page, nil
 }
 
 func TestDeclareValidateRevoke(t *testing.T) {

@@ -19,10 +19,10 @@ import (
 // believed without a matching declaration from the guest's CVD frontend.
 
 func (vm *VM) grantAccessor() (*grant.PhysAccessor, error) {
-	if vm.grantSPA == 0 {
+	if vm.grantAcc == nil {
 		return nil, fmt.Errorf("hv: %s has no registered grant table", vm.Name)
 	}
-	return &grant.PhysAccessor{Phys: vm.hv.Phys, SPA: vm.grantSPA}, nil
+	return vm.grantAcc, nil
 }
 
 // validate checks the request against the guest's grant table and returns

@@ -28,6 +28,14 @@ func (p Perm) String() string {
 // Allows reports whether p grants every bit in access.
 func (p Perm) Allows(access Perm) bool { return p&access == access }
 
+// busOp names an access of kind p in a BusError.
+func (p Perm) busOp() string {
+	if p&PermWrite != 0 {
+		return "write"
+	}
+	return "read"
+}
+
 // BusError reports access to a system physical address with no frame behind
 // it — the simulated equivalent of a machine check.
 type BusError struct {

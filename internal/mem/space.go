@@ -36,26 +36,42 @@ func (s *GuestSpace) Write(gpa GuestPhys, data []byte) error {
 func (s *GuestSpace) access(gpa GuestPhys, buf []byte, perm Perm) error {
 	addr := uint64(gpa)
 	for len(buf) > 0 {
-		spa, err := s.EPT.Translate(GuestPhys(addr), perm)
+		f, err := s.Frame(GuestPhys(addr), perm)
 		if err != nil {
 			return err
 		}
-		n := PageSize - PageOffset(addr)
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
+		var n int
 		if perm == PermWrite {
-			err = s.Phys.Write(spa, buf[:n])
+			n = copy(f[PageOffset(addr):], buf)
 		} else {
-			err = s.Phys.Read(spa, buf[:n])
+			n = copy(buf, f[PageOffset(addr):])
 		}
-		if err != nil {
-			return err
-		}
-		addr += n
+		addr += uint64(n)
 		buf = buf[n:]
 	}
 	return nil
+}
+
+// Frame returns the frame backing the page containing gpa, after the same
+// EPT permission check Read and Write make: an *EPTViolation if the EPT
+// does not allow perm, a *BusError (Op "write" when perm includes
+// PermWrite, else "read") if the translation lands on an unbacked frame.
+//
+// It is the one translation path of the space — Read and Write loop over
+// it — and lets shared-page code (the CVD ring, the grant table) work on
+// the page in place. The pointer is valid for the caller's current access
+// only: keeping it would bypass every later EPT edit, so each access must
+// call Frame again.
+func (s *GuestSpace) Frame(gpa GuestPhys, perm Perm) (*[PageSize]byte, error) {
+	spa, err := s.EPT.Translate(gpa, perm)
+	if err != nil {
+		return nil, err
+	}
+	f := s.Phys.FrameBytes(spa)
+	if f == nil {
+		return nil, &BusError{Addr: spa, Op: perm.busOp()}
+	}
+	return f, nil
 }
 
 // ReadU64 reads a little-endian 64-bit word at gpa.

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Env is a simulation environment: a virtual clock plus an event calendar.
 // An Env is not safe for concurrent use; all mutation happens either from the
@@ -15,11 +12,12 @@ import (
 type Env struct {
 	now     Time
 	seq     uint64
-	cal     calendar
-	current *Proc // process currently holding the hand-off token, if any
+	cal     []item     // binary min-heap on (at, seq), entries by value
+	current *Proc      // process currently holding the hand-off token, if any
+	idle    []*carrier // coroutines with no process bound, for Spawn to reuse
 
-	yield   chan yieldKind // processes signal the scheduler here
 	running bool
+	limit   Time    // the running RunUntil's limit
 	nprocs  int     // live (not yet finished) processes
 	procs   []*Proc // all spawned processes, for Deadlocked reporting
 	trap    *ProcPanic
@@ -50,16 +48,9 @@ type SchedObserver interface {
 	SchedResume(at Time, proc string)
 }
 
-type yieldKind int
-
-const (
-	yieldBlocked yieldKind = iota // process blocked on timer/event/resource
-	yieldDone                     // process function returned
-)
-
 // NewEnv returns an empty environment at time zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan yieldKind)}
+	return &Env{}
 }
 
 // Now returns the current simulated time.
@@ -77,39 +68,80 @@ type item struct {
 	gen uint64 // resume generation; stale if != p.resumeGen when popped
 }
 
-type calendar []*item
-
-func (c calendar) Len() int { return len(c) }
-func (c calendar) Less(i, j int) bool {
-	if c[i].at != c[j].at {
-		return c[i].at < c[j].at
-	}
-	return c[i].seq < c[j].seq
-}
-func (c calendar) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c *calendar) Push(x any)   { *c = append(*c, x.(*item)) }
-func (c *calendar) Pop() any {
-	old := *c
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*c = old[:n-1]
-	return it
+func (it *item) before(o *item) bool {
+	return it.at < o.at || (it.at == o.at && it.seq < o.seq)
 }
 
-func (e *Env) schedule(it *item) {
+// schedule stamps it with the next sequence number and sifts it up the
+// calendar heap. Entries are stored by value: container/heap would box each
+// one, and scheduling must not allocate.
+func (e *Env) schedule(it item) {
 	if it.at < e.now {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < %v", it.at, e.now))
 	}
 	it.seq = e.seq
 	e.seq++
-	heap.Push(&e.cal, it)
+	c := append(e.cal, item{})
+	j := len(c) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !it.before(&c[i]) {
+			break
+		}
+		c[j] = c[i]
+		j = i
+	}
+	c[j] = it
+	e.cal = c
+}
+
+// pop removes the calendar's earliest entry.
+func (e *Env) pop() {
+	c := e.cal
+	n := len(c) - 1
+	last := c[n]
+	c[n] = item{}
+	c = c[:n]
+	if n > 0 {
+		i := 0
+		for {
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if r := j + 1; r < n && c[r].before(&c[j]) {
+				j = r
+			}
+			if !c[j].before(&last) {
+				break
+			}
+			c[i] = c[j]
+			i = j
+		}
+		c[i] = last
+	}
+	e.cal = c
+}
+
+// peek discards stale resumes (dead process or superseded wake-up) from the
+// head of the calendar, without letting them advance the clock, and returns
+// the earliest live entry, or nil when none is left. The pointer is valid
+// until the calendar next changes.
+func (e *Env) peek() *item {
+	for len(e.cal) > 0 {
+		it := &e.cal[0]
+		if it.p == nil || (!it.p.finished && it.gen == it.p.resumeGen) {
+			return it
+		}
+		e.pop()
+	}
+	return nil
 }
 
 // At schedules fn to run at absolute time t in scheduler context.
 // fn must not block or advance time; to do timed work, spawn a process.
 func (e *Env) At(t Time, fn func()) {
-	e.schedule(&item{at: t, fn: fn})
+	e.schedule(item{at: t, fn: fn})
 }
 
 // After schedules fn to run d from now in scheduler context.
@@ -133,29 +165,33 @@ func (e *Env) RunUntil(limit Time) {
 		panic("sim: Run re-entered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
-	for len(e.cal) > 0 {
-		it := e.cal[0]
-		if it.p != nil && (it.p.finished || it.gen != it.p.resumeGen) {
-			// Stale resume (dead process or superseded wake-up): discard
-			// without letting it advance the clock.
-			heap.Pop(&e.cal)
-			continue
+	e.limit = limit
+	defer func() {
+		e.running = false
+		// A drained Env keeps a goroutine only for each process still
+		// blocked: stop the idle coroutines.
+		for i, c := range e.idle {
+			c.stop()
+			e.idle[i] = nil
 		}
-		if it.at > limit {
+		e.idle = e.idle[:0]
+	}()
+	for {
+		it := e.peek()
+		if it == nil || it.at > limit {
 			break
 		}
-		heap.Pop(&e.cal)
+		fn, p := it.fn, it.p
 		e.now = it.at
-		switch {
-		case it.fn != nil:
+		e.pop()
+		if fn != nil {
 			if e.Observer != nil {
 				e.Observer.SchedCallback(e.now)
 			}
-			it.fn()
-		case it.p != nil:
-			it.p.queued = false
-			e.resume(it.p)
+			fn()
+		} else {
+			p.queued = false
+			e.resume(p)
 		}
 	}
 	if limit < Time(1<<62-1) && e.now < limit {
@@ -163,28 +199,32 @@ func (e *Env) RunUntil(limit Time) {
 	}
 }
 
-// resume hands control to p and waits for it to yield back.
+// resume hands control to p and returns when it blocks or finishes. A
+// finished process's carrier goes back on the idle list.
 func (e *Env) resume(p *Proc) {
 	if e.Observer != nil {
 		e.Observer.SchedResume(e.now, p.name)
 	}
 	e.current = p
-	p.wake <- struct{}{}
-	k := <-e.yield
+	c := p.c
+	c.next()
 	e.current = nil
-	if k == yieldDone {
-		e.nprocs--
-		if e.trap != nil {
-			// The process goroutine panicked: re-raise on the Run caller's
-			// goroutine so a harness can recover (and report, say, the
-			// reproducing seed) instead of the whole program dying on a
-			// goroutine nobody can recover from — unless a registered
-			// OnProcPanic handler (a supervisor) consumes it first.
-			tr := e.trap
-			e.trap = nil
-			if e.OnProcPanic == nil || !e.OnProcPanic(tr) {
-				panic(tr)
-			}
+	if !p.finished {
+		return
+	}
+	e.nprocs--
+	p.c, c.p, c.fn = nil, nil, nil
+	e.idle = append(e.idle, c)
+	if e.trap != nil {
+		// The process panicked: re-raise on the Run caller's goroutine so
+		// a harness can recover (and report, say, the reproducing seed)
+		// instead of the whole program dying on a goroutine nobody can
+		// recover from — unless a registered OnProcPanic handler (a
+		// supervisor) consumes it first.
+		tr := e.trap
+		e.trap = nil
+		if e.OnProcPanic == nil || !e.OnProcPanic(tr) {
+			panic(tr)
 		}
 	}
 }

@@ -1,44 +1,84 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulation process: a goroutine that runs only while it holds the
-// scheduler's hand-off token. At most one Proc executes at any instant, so
-// process bodies may freely mutate shared simulation state without locks.
+// Proc is a simulation process. Its body runs on a pooled coroutine and only
+// while the scheduler has handed it control, so at most one Proc executes at
+// any instant and process bodies may freely mutate shared simulation state
+// without locks.
+//
+// A body that calls runtime.Goexit ends the goroutine that called Run too:
+// the coroutine hand-off (iter.Pull) propagates Goexit to its caller.
 type Proc struct {
 	env       *Env
 	name      string
-	wake      chan struct{}
+	c         *carrier // coroutine running the body; nil once finished
 	finished  bool
 	queued    bool   // has a pending calendar resume entry
 	resumeGen uint64 // bumped per scheduled resume; stale entries are skipped
 }
 
+// A carrier is one iter.Pull coroutine that runs process bodies one after
+// another. Between bodies it waits on Env.idle for the next Spawn.
+type carrier struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc
+	fn    func(*Proc)
+}
+
 // Spawn creates a process running fn, scheduled to start now.
 // fn receives the process handle for sleeping and waiting.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
+	p := &Proc{env: e, name: name}
+	var c *carrier
+	if n := len(e.idle); n > 0 {
+		c = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		c = &carrier{}
+		c.next, c.stop = iter.Pull(c.loop)
+	}
+	c.p, c.fn = p, fn
+	p.c = c
 	e.nprocs++
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.wake // wait for first resume
-		defer func() {
-			p.finished = true
-			if r := recover(); r != nil {
-				// Capture the panic for the scheduler to re-raise on the
-				// Run caller's goroutine (see Env.resume); the channel send
-				// orders the write before the scheduler's read.
-				e.trap = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
-			}
-			e.yield <- yieldDone
-		}()
-		fn(p)
-	}()
 	p.scheduleResume(e.now)
 	return p
+}
+
+// loop runs each bound body to its end, then yields as idle until the
+// scheduler rebinds it (yield returns true) or stops it.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+func (c *carrier) run() {
+	p := c.p
+	defer func() {
+		p.finished = true
+		if r := recover(); r != nil {
+			// Capture the panic for the scheduler to re-raise on the Run
+			// caller's goroutine (see Env.resume); recovering here keeps the
+			// carrier reusable.
+			p.env.trap = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	c.fn(p)
 }
 
 // RunFunc spawns fn as a process and runs the environment until the calendar
@@ -60,16 +100,28 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) scheduleResume(at Time) {
 	p.queued = true
 	p.resumeGen++
-	p.env.schedule(&item{at: at, p: p, gen: p.resumeGen})
+	p.env.schedule(item{at: at, p: p, gen: p.resumeGen})
 }
 
-// block yields control to the scheduler and returns when resumed.
+// block yields control to the scheduler and returns when resumed. When the
+// earliest live calendar entry is this process's own resume, due within the
+// RunUntil limit, block does what the scheduler would do with it and
+// continues in place.
 func (p *Proc) block() {
-	if p.env.current != p {
+	e := p.env
+	if e.current != p {
 		panic(fmt.Sprintf("sim: %s yielding while not current", p.name))
 	}
-	p.env.yield <- yieldBlocked
-	<-p.wake
+	if it := e.peek(); it != nil && it.p == p && it.at <= e.limit {
+		e.now = it.at
+		e.pop()
+		p.queued = false
+		if e.Observer != nil {
+			e.Observer.SchedResume(e.now, p.name)
+		}
+		return
+	}
+	p.c.yield(struct{}{})
 }
 
 // Sleep suspends the process for d of simulated time.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -450,7 +451,7 @@ func TestProcPanicTrapsToRunCaller(t *testing.T) {
 		}()
 		e.Run()
 	}()
-	if got.Proc != "bomb" || got.Value != "boom" || len(got.Stack) == 0 {
-		t.Fatalf("trap = {Proc:%q Value:%v stack %d bytes}", got.Proc, got.Value, len(got.Stack))
+	if got.Proc != "bomb" || got.Value != "boom" || !strings.Contains(string(got.Stack), "TestProcPanicTrapsToRunCaller") {
+		t.Fatalf("trap = {Proc:%q Value:%v}, stack does not show the panic site:\n%s", got.Proc, got.Value, got.Stack)
 	}
 }

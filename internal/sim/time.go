@@ -7,9 +7,12 @@
 // inputs always produce identical timings.
 //
 // The kernel follows the classic process-interaction style (as in SimPy):
-// processes are goroutines that run one at a time under strict hand-off
-// control of the scheduler, and yield by sleeping, waiting on events, or
-// acquiring resources.
+// processes run one at a time under strict hand-off control of the
+// scheduler, and yield by sleeping, waiting on events, or acquiring
+// resources. Each process runs on a coroutine (iter.Pull) taken from a pool,
+// so a hand-off is a coroutine switch rather than a goroutine wake-up, and a
+// process whose own resume is the next calendar entry continues without any
+// switch.
 package sim
 
 import "fmt"

@@ -58,7 +58,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestDIGuestsBeyondPartitionsRejected(t *testing.T) {
-	m, err := paradice.New(paradice.Config{DataIsolation: true, DIPartitions: 2})
+	m, err := paradice.New(paradice.Config{DataIsolation: true})
 	if err != nil {
 		t.Fatal(err)
 	}

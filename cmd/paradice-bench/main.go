@@ -74,13 +74,7 @@ func main() {
 		}
 	}
 
-	type jsonResult struct {
-		ID    string      `json:"id"`
-		Title string      `json:"title"`
-		Rows  []bench.Row `json:"rows,omitempty"`
-		Error string      `json:"error,omitempty"`
-	}
-	var results []jsonResult
+	var results []bench.Result
 
 	stopProfile, err := startProfile(*cpuProfile)
 	if err != nil {
@@ -95,10 +89,10 @@ func main() {
 		rows, err := e.Run(*quick)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "  ERROR: %v\n", err)
-			results = append(results, jsonResult{ID: e.ID, Title: e.Title, Error: err.Error()})
+			results = append(results, bench.Result{ID: e.ID, Title: e.Title, Error: err.Error()})
 			failed = true
 		} else {
-			results = append(results, jsonResult{ID: e.ID, Title: e.Title, Rows: rows})
+			results = append(results, bench.Result{ID: e.ID, Title: e.Title, Rows: rows})
 			if !*jsonOut {
 				printRows(rows, e.IsTable)
 				fmt.Println()

@@ -21,7 +21,7 @@ import (
 //     serving — this is where the downtime win comes from).
 //   - quiesce: every frontend enters drain mode. In-flight operations finish
 //     on the predecessor; new posts park at their frontends instead of
-//     failing EREMOTE, bounded by Config.HandoverDrain.
+//     failing EREMOTE, bounded by handover.DefaultDrainDeadline.
 //   - switch: each channel pre-builds its successor backend and pre-warms
 //     the successor's grant-map cache from the frontend's live bulk grants
 //     (cvd.PrepareHandover); then devices reset and reattach to the
@@ -91,10 +91,7 @@ func (m *Machine) handoverShard(shard int) error {
 		preps    []chanPrep
 	)
 
-	drain := m.cfg.HandoverDrain
-	if drain <= 0 {
-		drain = handover.DefaultDrainDeadline
-	}
+	drain := handover.DefaultDrainDeadline
 	// Parked posts carry their own defensive wait bound; keep it comfortably
 	// past the engine's drain deadline so the engine always decides first.
 	parkBound := drain + 10*sim.Millisecond
@@ -122,7 +119,7 @@ func (m *Machine) handoverShard(shard int) error {
 			if m.cfg.Workers > 0 {
 				// The successor's worker pool spins up alongside it; its
 				// channels join at CompleteHandover. Discarded on abort.
-				succPool = cvd.NewPool(newK, m.cfg.Workers, m.cfg.FairQuantum)
+				succPool = cvd.NewPool(newK, m.cfg.Workers, 1)
 			}
 			// The successor's boot time is paid now, while the predecessor
 			// serves. RestartDriverVM pays this same cost inside its outage.

@@ -161,7 +161,7 @@ func init() {
 
 // RunAdaptive sweeps the offered rates across the four transports and emits,
 // per level, the per-transport p50, spin per op, and doorbell IRQ count —
-// then the three envelope gate rows bench-regress pins:
+// then the three gated envelope rows:
 //
 //	envelope/high-vs-best-static  adaptive p50 / min(static p50) at the top rate
 //	envelope/low-vs-interrupts    adaptive p50 / interrupt p50 at the bottom rate
@@ -184,10 +184,18 @@ func RunAdaptive(quick bool) ([]Row, error) {
 				outcomes[c.name] = make(map[float64]adaptiveOutcome)
 			}
 			outcomes[c.name][rate] = out
+			doorbells := Row{Series: "doorbells " + c.name, X: label, Value: out.doorbells, Unit: "IRQs"}
+			if c.name == "interrupts+batch" {
+				// Batching's reason to exist: the batched config must keep
+				// sending FEWER doorbells than load posts. A drop in
+				// amortization shows up as this count rising toward one
+				// IRQ per post.
+				doorbells.Gate = &Gate{Tol: 10}
+			}
 			rows = append(rows,
-				Row{Series: "p50 " + c.name, X: label, Value: out.p50, Unit: "µs"},
+				Row{Series: "p50 " + c.name, X: label, Value: out.p50, Unit: "µs", Gate: &Gate{Tol: 10}},
 				Row{Series: "spin " + c.name, X: label, Value: out.spinPerOp, Unit: "µs/op"},
-				Row{Series: "doorbells " + c.name, X: label, Value: out.doorbells, Unit: "IRQs"},
+				doorbells,
 			)
 		}
 	}
@@ -196,14 +204,20 @@ func RunAdaptive(quick bool) ([]Row, error) {
 	if p := outcomes["polling"][high].p50; p < bestStaticHigh {
 		bestStaticHigh = p
 	}
+	// The envelope ratios have baselines near 1.0, so a stance-machinery
+	// regression that drags adaptive away from the better static mode at
+	// either end of the sweep fails directly. "excess-spin" has a baseline
+	// of exactly 0: ANY spin burned by an adaptive channel under sparse
+	// load reads as 100% drift and fails. Zero idle spin is a hard gate,
+	// not a tolerance.
 	rows = append(rows,
 		Row{Series: "envelope", X: "high-vs-best-static",
-			Value: outcomes["adaptive"][high].p50 / bestStaticHigh, Unit: "ratio"},
+			Value: outcomes["adaptive"][high].p50 / bestStaticHigh, Unit: "ratio", Gate: &Gate{Tol: 10}},
 		Row{Series: "envelope", X: "low-vs-interrupts",
-			Value: outcomes["adaptive"][low].p50 / outcomes["interrupts"][low].p50, Unit: "ratio"},
+			Value: outcomes["adaptive"][low].p50 / outcomes["interrupts"][low].p50, Unit: "ratio", Gate: &Gate{Tol: 10}},
 		Row{Series: "excess-spin", X: "low-load",
 			Value: outcomes["adaptive"][low].spinPerOp - outcomes["interrupts"][low].spinPerOp,
-			Unit:  "µs/op"},
+			Unit:  "µs/op", Gate: &Gate{Tol: 10}},
 	)
 	return rows, nil
 }

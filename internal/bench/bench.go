@@ -36,6 +36,30 @@ type Row struct {
 	// reservoir (trace.HistSampleCap): the value is a log2-bucket upper
 	// bound, not an exact order statistic. Rendered as a "~" prefix.
 	Approx bool `json:",omitempty"`
+	// Gate, when set, makes cmd/bench-regress fail a run in which this row
+	// drifts from the committed baseline (BENCH.json) past the tolerance.
+	Gate *Gate `json:",omitempty"`
+}
+
+// Gate is a row's regression gate. The simulation is deterministic, so the
+// expected drift is exactly zero: the tolerance exists so that an
+// intentional cost-model recalibration shows up as a reviewed baseline
+// update. A baseline of exactly 0 turns any nonzero value into 100% drift.
+type Gate struct {
+	// Tol is the allowed drift, in percent of the baseline value.
+	Tol float64
+	// HigherIsBetter makes downward drift the regression (throughput,
+	// efficiency, warm-state counters); otherwise upward drift is.
+	HigherIsBetter bool `json:",omitempty"`
+}
+
+// Result is one experiment's outcome, as paradice-bench -json emits it and
+// the committed baseline BENCH.json stores it.
+type Result struct {
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	Rows  []Row  `json:"rows,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // Experiment is one table or figure.
@@ -179,7 +203,9 @@ func RunNoop(quick bool) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Row{Series: c.name, X: "no-op fileop", Value: rt.Microseconds(), Unit: "µs", Paper: c.paper})
+		// The §6.1.1 headline: both transports' forwarding latency.
+		rows = append(rows, Row{Series: c.name, X: "no-op fileop", Value: rt.Microseconds(), Unit: "µs", Paper: c.paper,
+			Gate: &Gate{Tol: 10}})
 	}
 	return rows, nil
 }
@@ -362,7 +388,12 @@ func RunFig5(quick bool) ([]Row, error) {
 			if !res.Correct {
 				return nil, fmt.Errorf("%s order %d: wrong product", c.name, n)
 			}
-			rows = append(rows, Row{Series: c.name, X: fmt.Sprintf("order=%d", n), Value: res.Elapsed.Seconds(), Unit: "s"})
+			row := Row{Series: c.name, X: fmt.Sprintf("order=%d", n), Value: res.Elapsed.Seconds(), Unit: "s"}
+			if n == 500 {
+				// The order the paper discusses (and Figure 6 reuses).
+				row.Gate = &Gate{Tol: 10}
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

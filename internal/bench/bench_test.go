@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -92,5 +94,51 @@ func TestNoopExperimentQuick(t *testing.T) {
 	}
 	if rows[1].Value > 4 {
 		t.Fatalf("polled no-op = %.1fµs", rows[1].Value)
+	}
+}
+
+// Every gate spells out its tolerance: a zero Tol would fail on any drift
+// at all, which no gate intends. The committed baseline names the
+// experiments that gate rows; each of them is run in quick mode here (all
+// twenty in one process would hold gigabytes: drained machines are never
+// freed) and must emit only gates with Tol > 0, as must the baseline.
+func TestGatesDeclareTolerance(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base []Result
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	checkGates := func(src, id string, rows []Row) (gated bool) {
+		for _, r := range rows {
+			if r.Gate != nil {
+				gated = true
+				if !(r.Gate.Tol > 0) {
+					t.Errorf("%s %s/%s/%s: gate tolerance %g", src, id, r.Series, r.X, r.Gate.Tol)
+				}
+			}
+		}
+		return gated
+	}
+	checked := 0
+	for _, res := range base {
+		if !checkGates("BENCH.json", res.ID, res.Rows) {
+			continue
+		}
+		e, ok := Find(res.ID)
+		if !ok {
+			t.Fatalf("BENCH.json gates unknown experiment %s", res.ID)
+		}
+		rows, err := e.Run(true)
+		if err != nil {
+			t.Fatalf("%s: %v", res.ID, err)
+		}
+		checkGates("quick", res.ID, rows)
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("BENCH.json gates no rows")
 	}
 }

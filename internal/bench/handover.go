@@ -249,13 +249,20 @@ func RunHandover(quick bool) ([]Row, error) {
 		return nil, fmt.Errorf("restart: %d violations: %s", len(rstRes.Violations), rstRes.Violations[0])
 	}
 
+	// The handover's contract rows are gated. "failed"/handover has a
+	// baseline of exactly 0, so any loss reads as 100% drift and fails:
+	// zero loss is a hard gate, not a tolerance. The downtime (the ring
+	// pause) gates like a latency. The warm and replay counters gate
+	// downward: a warm-transfer regression shows up as these dropping
+	// toward zero, which reads as a cold successor or lost parked posts.
+	lower, higher := &Gate{Tol: 10}, &Gate{Tol: 5, HigherIsBetter: true}
 	return []Row{
-		{Series: "failed", X: "handover", Value: float64(errorsOf(hoRes)), Unit: "requests"},
+		{Series: "failed", X: "handover", Value: float64(errorsOf(hoRes)), Unit: "requests", Gate: lower},
 		{Series: "failed", X: "restart", Value: float64(errorsOf(rstRes)), Unit: "requests"},
-		{Series: "downtime", X: "handover", Value: ep.Pause.Microseconds(), Unit: "µs"},
+		{Series: "downtime", X: "handover", Value: ep.Pause.Microseconds(), Unit: "µs", Gate: lower},
 		{Series: "downtime", X: "restart", Value: rstDown.Microseconds(), Unit: "µs"},
-		{Series: "queued-replayed", X: "handover", Value: float64(queued), Unit: "posts"},
-		{Series: "warm map hits", X: "handover", Value: float64(warmHits), Unit: "hits"},
-		{Series: "warm reopens", X: "handover", Value: float64(be.WarmReopens), Unit: "files"},
+		{Series: "queued-replayed", X: "handover", Value: float64(queued), Unit: "posts", Gate: higher},
+		{Series: "warm map hits", X: "handover", Value: float64(warmHits), Unit: "hits", Gate: higher},
+		{Series: "warm reopens", X: "handover", Value: float64(be.WarmReopens), Unit: "files", Gate: higher},
 	}, nil
 }

@@ -153,20 +153,28 @@ func RunTail(quick bool) ([]Row, error) {
 		for i := range res.Classes {
 			cs := &res.Classes[i]
 			for _, qt := range quantiles {
-				rows = append(rows, Row{
+				row := Row{
 					Series: cs.Class.Name + " " + qt.name, X: label,
 					Value: cs.Lat.Quantile(qt.q).Microseconds(), Unit: "µs",
 					Approx: !cs.Lat.Exact(),
-				})
+				}
+				if qt.name == "p99" {
+					// Gated at every load level, so a tail regression
+					// under open-loop load fails even when the means stay
+					// flat.
+					row.Gate = &Gate{Tol: 10}
+				}
+				rows = append(rows, row)
 			}
 			rows = append(rows, Row{
 				Series: "shed " + cs.Class.Name, X: label,
 				Value: float64(cs.Throttled + cs.Rejected), Unit: "requests",
 			})
 			// Critical-path attribution: where the class's p99 lives, hop by
-			// hop, from the flight recorder's digests. The " p99" suffix puts
-			// these rows under the same bench-regress gate as the end-to-end
-			// p99s. Hops that never saw time at this level are omitted.
+			// hop, from the flight recorder's digests. Gated like the
+			// end-to-end p99s, so a regression that moves the p99 between
+			// hops without moving the end-to-end number still fails, hop by
+			// hop. Hops that never saw time at this level are omitted.
 			for h := trace.Hop(0); h < trace.HopCount; h++ {
 				hh := fr.HopLatency(cs.Class.QoS, h)
 				if hh == nil || hh.Sum == 0 {
@@ -175,7 +183,7 @@ func RunTail(quick bool) ([]Row, error) {
 				rows = append(rows, Row{
 					Series: fmt.Sprintf("attr %s %s p99", cs.Class.Name, h), X: label,
 					Value: hh.Quantile(0.99).Microseconds(), Unit: "µs",
-					Approx: !hh.Exact(),
+					Approx: !hh.Exact(), Gate: &Gate{Tol: 10},
 				})
 			}
 		}
@@ -191,9 +199,13 @@ func RunTail(quick bool) ([]Row, error) {
 			maxSustained = rate
 		}
 	}
+	// Capacity fails on downward drift. The sweep is quantized to the swept
+	// rates, so any real capacity loss shows up as a whole-level drop, far
+	// beyond 5%.
 	rows = append(rows, Row{
 		Series: "max-sustained", X: "goodput>=97%",
 		Value: maxSustained / 1000, Unit: "kops/s",
+		Gate: &Gate{Tol: 5, HigherIsBetter: true},
 	})
 	return rows, nil
 }

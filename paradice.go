@@ -104,9 +104,6 @@ type Config struct {
 	// DataIsolation enables the §4.2/§5.3 device data isolation
 	// configuration for the GPU.
 	DataIsolation bool
-	// DIPartitions is how many guests share the GPU memory under data
-	// isolation (default 2, giving each half the VRAM as in §6).
-	DIPartitions int
 	// GPUModel selects the card (Table 1: "hd6450" (default), "hd4650",
 	// "x1300", "gm965"). Device data isolation requires the Evergreen-class
 	// hd6450 (§5.3).
@@ -150,11 +147,6 @@ type Config struct {
 	// Admission: see cvd.Transport. Applied to every frontend a guest
 	// paravirtualizes.
 	Admission map[uint8]int
-	// HandoverDrain bounds the quiesce stage of a planned driver-VM handover
-	// (HandoverDriverVM): if in-flight operations have not completed this
-	// long after the frontends enter drain mode, the handover aborts back to
-	// the still-live predecessor. Zero selects handover.DefaultDrainDeadline.
-	HandoverDrain sim.Duration
 	// DriverShards partitions the machine's devices across N driver VMs
 	// (default 1 — the paper's single driver VM of Figure 1(c)). The standard
 	// devices are placed round-robin across shards at boot; harness devices
@@ -168,13 +160,10 @@ type Config struct {
 	// (cvd.Pool): per-channel dispatchers enqueue forwarded operations into
 	// per-channel FIFO queues drained by this many worker threads under
 	// deficit round-robin, bounding driver-VM thread count and isolating
-	// quiet guests from a hot one. Zero keeps the paper's thread-per-
-	// operation behavior.
+	// quiet guests from a hot one, with a deficit-round-robin quantum of
+	// one operation (strict round-robin). Zero keeps the paper's
+	// thread-per-operation behavior.
 	Workers int
-	// FairQuantum is the worker pool's deficit-round-robin quantum: how many
-	// consecutive operations one channel may be served before the scheduler
-	// moves on (default 1 — strict round-robin). Ignored unless Workers > 0.
-	FairQuantum int
 }
 
 func (c Config) withDefaults() Config {
@@ -190,14 +179,8 @@ func (c Config) withDefaults() Config {
 	if c.VRAM == 0 {
 		c.VRAM = 1 << 30
 	}
-	if c.DIPartitions == 0 {
-		c.DIPartitions = 2
-	}
 	if c.DriverShards < 1 {
 		c.DriverShards = 1
-	}
-	if c.FairQuantum < 1 {
-		c.FairQuantum = 1
 	}
 	return c
 }
@@ -428,7 +411,7 @@ func (m *Machine) bootShard(i int) error {
 		return err
 	}
 	if m.cfg.Workers > 0 && m.Kind == KindParadice {
-		sh.Pool = cvd.NewPool(drvK, m.cfg.Workers, m.cfg.FairQuantum)
+		sh.Pool = cvd.NewPool(drvK, m.cfg.Workers, 1)
 	}
 	return nil
 }
